@@ -368,9 +368,11 @@
 //     internal/harness's reflection backstop test mutates every field
 //     and requires Key()/Canonical() to move, so the name-level table
 //     and value-level behavior gate each other.
-//   - hotpath forbids allocation, fmt, closures and interface boxing
-//     in functions marked //dapper:hot (the telemetry probes and
-//     observer taps on the simulator's per-access paths).
+//   - hotpath forbids allocation, fmt, closures, interface boxing and
+//     value-receiver calls on structs over 64 bytes in functions marked
+//     //dapper:hot (the telemetry probes and observer taps on the
+//     simulator's per-access paths, the controller's scheduling loops
+//     and address decode).
 //
 // Escape hatches are annotations with mandatory one-line
 // justifications — `//dapper:wallclock <why>`, `//dapper:env <why>`,

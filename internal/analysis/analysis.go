@@ -17,7 +17,9 @@
 //     lint failure, not a silent cache-aliasing bug.
 //   - hotpath: functions annotated //dapper:hot (the telemetry probe
 //     and observer paths whose disabled cost PR 6's bench gate keeps
-//     under 2%) must not allocate, format, or box into interfaces.
+//     under 2%, the controller's scheduling loops, address decode)
+//     must not allocate, format, box into interfaces, or copy a struct
+//     over 64 bytes as a method's value receiver.
 //
 // The suite is compiled into cmd/dapper-lint, which runs both as a
 // standalone multichecker (`go run ./cmd/dapper-lint ./...`, what

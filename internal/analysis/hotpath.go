@@ -10,13 +10,21 @@ import (
 // telemetry-off cost PR 6's bench gate holds under 2%, so an annotated
 // function must stay allocation-free and monomorphic. Banned inside a
 // hot function: make/new, slice and map composite literals (and &T{}),
-// append, closures, defer/go statements, any fmt call, and implicit
-// boxing of a concrete value into an interface parameter, result or
-// assignment target.
+// append, closures, defer/go statements, any fmt call, implicit boxing
+// of a concrete value into an interface parameter, and a value-receiver
+// method call on a struct larger than maxHotRecvBytes, which copies the
+// whole struct on every call (runtime.duffcopy).
 var Hotpath = &Analyzer{
 	Name: "hotpath",
-	Doc:  "forbid allocations, fmt, closures and interface boxing in functions annotated //dapper:hot",
+	Doc:  "forbid allocations, fmt, closures, interface boxing and large value-receiver copies in functions annotated //dapper:hot",
 }
+
+// maxHotRecvBytes is the largest struct a //dapper:hot function may
+// pass as a value receiver. Sizes are those of gc on amd64 whatever the
+// host, so findings do not depend on where the linter runs.
+const maxHotRecvBytes = 64
+
+var hotSizes = types.SizesFor("gc", "amd64")
 
 func init() {
 	Hotpath.Run = runHotpath
@@ -94,6 +102,7 @@ func checkHotCall(pass *Pass, fname string, call *ast.CallExpr) {
 		pass.Reportf(call.Pos(), "fmt.%s in //dapper:hot %s allocates and boxes every operand; hot paths report through preallocated counters", fn, fname)
 		return
 	}
+	checkHotRecv(pass, fname, call)
 	// Interface boxing at call arguments: a concrete value passed where
 	// the callee takes an interface forces an allocation (unless the
 	// value is already an interface or untyped nil).
@@ -128,4 +137,45 @@ func checkHotCall(pass *Pass, fname string, call *ast.CallExpr) {
 		}
 		pass.Reportf(arg.Pos(), "argument boxes concrete %s into interface %s in //dapper:hot %s; use a concrete parameter or preboxed value", at.Type, pt, fname)
 	}
+}
+
+// checkHotRecv flags a method call whose value receiver is a struct
+// larger than maxHotRecvBytes: the call copies the receiver, so hot code
+// reads the fields it needs or uses a value precomputed off the hot path.
+func checkHotRecv(pass *Pass, fname string, call *ast.CallExpr) {
+	fun, ok := call.Fun.(*ast.SelectorExpr)
+	if !ok {
+		return
+	}
+	sel := pass.Info.Selections[fun]
+	if sel == nil || sel.Kind() != types.MethodVal {
+		return
+	}
+	recv := sel.Obj().Type().(*types.Signature).Recv().Type()
+	if _, ok := recv.Underlying().(*types.Struct); !ok {
+		return // pointer or interface receiver, or a non-struct value
+	}
+	if size, ok := sizeof(recv); ok && size > maxHotRecvBytes {
+		// Qualify by package name (dram.Timing), not import path.
+		qual := func(p *types.Package) string {
+			if p == pass.Pkg {
+				return ""
+			}
+			return p.Name()
+		}
+		pass.Reportf(call.Pos(), "value-receiver call %s.%s copies %d bytes in //dapper:hot %s; read the fields or precompute the value outside the hot path",
+			types.TypeString(recv, qual), fun.Sel.Name, size, fname)
+	}
+}
+
+// sizeof is hotSizes.Sizeof, reporting false instead of panicking when
+// the layout depends on an uninstantiated type parameter (a generic
+// type's method calling another of its value-receiver methods).
+func sizeof(t types.Type) (size int64, ok bool) {
+	defer func() {
+		if recover() != nil {
+			ok = false
+		}
+	}()
+	return hotSizes.Sizeof(t), true
 }

@@ -96,6 +96,33 @@ func TestSequentialLinesShareRow(t *testing.T) {
 	}
 }
 
+// TestDecoderPaths pins which geometries get the shift-and-mask decode
+// (FuzzDecompose proves both paths equal Geometry.Decompose).
+func TestDecoderPaths(t *testing.T) {
+	threeCh := Baseline()
+	threeCh.Channels = 3
+	for _, tc := range []struct {
+		g     Geometry
+		shift bool
+	}{
+		{Baseline(), true},
+		{Scaled(2048), true},
+		{Scaled(1024), true},
+		{threeCh, false},
+		{Scaled(777), false},
+	} {
+		d := NewDecoder(tc.g)
+		if d.shift != tc.shift {
+			t.Errorf("%s: shift decode = %v, want %v", tc.g, d.shift, tc.shift)
+		}
+		for _, addr := range []uint64{0, 63, 64, 0x12345678c0, tc.g.TotalBytes() - 1, tc.g.TotalBytes(), ^uint64(0)} {
+			if got, want := d.Decompose(addr), tc.g.Decompose(addr); got != want {
+				t.Errorf("%s: decoder(%#x) = %+v, want %+v", tc.g, addr, got, want)
+			}
+		}
+	}
+}
+
 func TestRankRowIndexRoundTrip(t *testing.T) {
 	g := Baseline()
 	for _, l := range []Loc{

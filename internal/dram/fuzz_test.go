@@ -7,12 +7,20 @@ import "testing"
 // line-aligned in-capacity addresses, every decomposed field must be in
 // bounds, and the rank-row index space (the domain DAPPER's cipher
 // permutes) must round-trip too. Every attack generator, tracker and
-// the secaudit oracle lean on these bijections.
+// the secaudit oracle lean on these bijections. The precomputed Decoder
+// the simulator's memory path uses must agree with Geometry.Decompose
+// on every uint64 address, in capacity or not, aligned or not.
 func FuzzDecompose(f *testing.F) {
 	f.Add(uint64(0), uint8(2), uint8(2), uint8(8), uint8(4), uint32(64*1024), uint16(128))
 	f.Add(uint64(0x12345678), uint8(1), uint8(1), uint8(1), uint8(1), uint32(1), uint16(1))
 	f.Add(uint64(1<<40), uint8(2), uint8(4), uint8(8), uint8(4), uint32(2048), uint16(128))
 	f.Add(uint64(64), uint8(3), uint8(2), uint8(5), uint8(3), uint32(777), uint16(9))
+	// dram.Scaled(2048) and dram.Scaled(1024), the attack experiments'
+	// shift-and-mask geometries, at addresses past TotalBytes.
+	f.Add(^uint64(0), uint8(1), uint8(1), uint8(7), uint8(3), uint32(2047), uint16(127))
+	f.Add(uint64(1<<63|0x1234567), uint8(1), uint8(1), uint8(7), uint8(3), uint32(1023), uint16(127))
+	// Not powers of two: 3 channels, 777 rows per bank.
+	f.Add(uint64(0xdeadbeefcafe), uint8(2), uint8(1), uint8(7), uint8(3), uint32(776), uint16(127))
 	f.Fuzz(func(t *testing.T, addr uint64, chans, ranks, bgs, banks uint8, rowsPB uint32, rowLines uint16) {
 		g := Geometry{
 			Channels:      1 + int(chans%8),
@@ -25,6 +33,10 @@ func FuzzDecompose(f *testing.F) {
 		}
 		if err := g.Validate(); err != nil {
 			t.Fatalf("constructed geometry invalid: %v", err)
+		}
+		d := NewDecoder(g)
+		if got, want := d.Decompose(addr), g.Decompose(addr); got != want {
+			t.Fatalf("decoder(%#x) = %+v, geometry gives %+v for %s", addr, got, want, g)
 		}
 		addr %= g.TotalBytes()
 		addr -= addr % uint64(g.LineBytes)

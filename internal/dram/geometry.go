@@ -6,7 +6,10 @@
 // steps on.
 package dram
 
-import "fmt"
+import (
+	"fmt"
+	"math/bits"
+)
 
 // Cycle is a point in (or duration of) simulated time, in 4GHz CPU
 // cycles: 1 cycle = 0.25ns.
@@ -148,6 +151,78 @@ func (g Geometry) Decompose(addr uint64) Loc {
 	l.Rank = int(blk % uint64(g.Ranks))
 	blk /= uint64(g.Ranks)
 	l.Row = uint32(blk % uint64(g.RowsPerBank))
+	return l
+}
+
+// Decoder is Geometry.Decompose with its divisors precomputed. When the
+// line size and every dimension of the mapping are powers of two — the
+// Table I baseline and every Scaled geometry — it decodes with shifts
+// and masks; otherwise it falls back to Geometry.Decompose. Either way
+// Decompose returns exactly what Geometry.Decompose returns, for every
+// uint64 address.
+type Decoder struct {
+	g     Geometry
+	shift bool // every divisor below is a power of two
+	// log2 of the line size and of each field's divisor, low to high
+	// bits in Decompose's mapping order.
+	line, ch, col, bank, bg, rank uint8
+	rowMask                       uint64
+}
+
+// NewDecoder precomputes the address decode for g.
+func NewDecoder(g Geometry) *Decoder {
+	d := &Decoder{g: g}
+	dims := []struct {
+		n   uint64
+		out *uint8
+	}{
+		{uint64(g.LineBytes), &d.line},
+		{uint64(g.Channels), &d.ch},
+		{uint64(g.BlocksPerRow()), &d.col},
+		{uint64(g.BanksPerGroup), &d.bank},
+		{uint64(g.BankGroups), &d.bg},
+		{uint64(g.Ranks), &d.rank},
+	}
+	for _, dim := range dims {
+		if !isPow2(dim.n) {
+			return d
+		}
+		*dim.out = uint8(bits.TrailingZeros64(dim.n))
+	}
+	if !isPow2(uint64(g.RowsPerBank)) {
+		return d
+	}
+	d.rowMask = uint64(g.RowsPerBank) - 1
+	d.shift = true
+	return d
+}
+
+// isPow2 reports whether n is a positive power of two. The dimensions
+// are tested after the same uint64 conversion Geometry.Decompose divides
+// by, so both paths agree even on nonsensical geometries.
+func isPow2(n uint64) bool { return n != 0 && n&(n-1) == 0 }
+
+// Decompose maps a physical address to its location; see
+// Geometry.Decompose.
+//
+//dapper:hot
+func (d *Decoder) Decompose(addr uint64) Loc {
+	if !d.shift {
+		return d.g.Decompose(addr)
+	}
+	blk := addr >> d.line
+	var l Loc
+	l.Channel = int(blk & (1<<d.ch - 1))
+	blk >>= d.ch
+	l.Col = int(blk & (1<<d.col - 1))
+	blk >>= d.col
+	l.Bank = int(blk & (1<<d.bank - 1))
+	blk >>= d.bank
+	l.BankGroup = int(blk & (1<<d.bg - 1))
+	blk >>= d.bg
+	l.Rank = int(blk & (1<<d.rank - 1))
+	blk >>= d.rank
+	l.Row = uint32(blk & d.rowMask)
 	return l
 }
 

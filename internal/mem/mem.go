@@ -30,6 +30,11 @@ type Request struct {
 	// admitted this request's activation — the blame recorder charges
 	// queue gaps before it to the Throttle bucket.
 	ThrottleFreeAt dram.Cycle
+
+	// fb is Loc's flat bank index, set by Enqueue so the scheduling
+	// loops index the bank array directly. Pooled requests are reset
+	// and retargeted between uses; every Enqueue recomputes it.
+	fb int
 }
 
 // Stats aggregates controller-side performance counters. ReadsServed,
@@ -56,6 +61,12 @@ type Controller struct {
 	probe   telemetry.ControllerProbe // optional telemetry tap (nil = none)
 	blame   telemetry.BlameProbe      // optional attribution tap (nil = none)
 	tblRep  rh.TableReporter          // cached tracker table-occupancy view
+
+	// Timing constants the per-request loops read, precomputed so no
+	// loop copies the whole dram.Timing to call one of its methods.
+	hitLat, closedLat, missLat dram.Cycle // bank service latencies
+	actSpacing                 dram.Cycle // same-bank ACT-to-ACT: tRC plus the PRAC tax
+	tRP, tRRDS                 dram.Cycle
 
 	// openers, allocated only with a blame probe attached, tracks per
 	// flat bank who opened the currently open row: a core id, -1 for
@@ -102,6 +113,12 @@ func NewController(channel int, geo dram.Geometry, tim dram.Timing, tracker rh.T
 		queueCap:        QueueCap,
 		nextTrackerTick: tim.TREFI,
 		lastTick:        -1,
+		hitLat:          tim.RowHitLatency(),
+		closedLat:       tim.RowClosedLatency(),
+		missLat:         tim.RowMissLatency(),
+		actSpacing:      tim.TRC + tim.PRACActTax,
+		tRP:             tim.TRP,
+		tRRDS:           tim.TRRDS,
 	}
 	for i := range c.banks {
 		c.banks[i] = dram.NewBank()
@@ -197,6 +214,7 @@ func (c *Controller) Enqueue(r *Request, now dram.Cycle) bool {
 	if r.Injected {
 		r.Done = false
 		r.EnqueuedAt = now
+		r.fb = c.geo.FlatBank(r.Loc)
 		c.injected = append(c.injected, r)
 		c.resetConsider(now + 1)
 		c.version++
@@ -208,6 +226,7 @@ func (c *Controller) Enqueue(r *Request, now dram.Cycle) bool {
 	}
 	r.Done = false
 	r.EnqueuedAt = now
+	r.fb = c.geo.FlatBank(r.Loc)
 	r.ThrottleFreeAt = 0
 	if c.blame != nil && c.throt != nil {
 		r.ThrottleFreeAt = c.throt.NextAllowed(now, r.Loc)
@@ -343,25 +362,27 @@ func (c *Controller) nextAttempt(now dram.Cycle) dram.Cycle {
 // start some request in q, given frozen controller state. The bound
 // mirrors pick's constraints exactly: bank/rank availability, tRC and
 // tRRD spacing (plus the PRAC tax), throttling, and data-bus occupancy.
+//
+//dapper:hot
 func (c *Controller) earliestReady(q []*Request, now dram.Cycle) dram.Cycle {
 	best := dram.Never
 	for _, r := range q {
-		bank := &c.banks[c.geo.FlatBank(r.Loc)]
+		bank := &c.banks[r.fb]
 		rank := &c.ranks[r.Loc.Rank]
 		t := now + 1
 		t = max(t, bank.ReadyAt)
 		t = max(t, bank.BlockedUntil)
 		t = max(t, rank.BlockedUntil)
-		lat := c.tim.RowHitLatency()
+		lat := c.hitLat
 		if bank.OpenRow != r.Loc.Row {
 			var actDelay dram.Cycle
-			lat = c.tim.RowClosedLatency()
+			lat = c.closedLat
 			if bank.OpenRow != dram.RowNone {
-				actDelay = c.tim.TRP
-				lat = c.tim.RowMissLatency()
+				actDelay = c.tRP
+				lat = c.missLat
 			}
-			t = max(t, bank.LastActAt+c.tim.TRC+c.tim.PRACActTax-actDelay)
-			t = max(t, rank.LastActAt+c.tim.TRRDS-actDelay)
+			t = max(t, bank.LastActAt+c.actSpacing-actDelay)
+			t = max(t, rank.LastActAt+c.tRRDS-actDelay)
 			if c.throt != nil && !r.Injected {
 				t = max(t, c.throt.NextAllowed(t, r.Loc))
 			}
@@ -394,11 +415,12 @@ func (c *Controller) trySchedule(now dram.Cycle) bool {
 
 // pick implements FR-FCFS over a queue: the oldest row-buffer hit that
 // can start now, else the oldest request that can start now.
+//
+//dapper:hot
 func (c *Controller) pick(q []*Request, now dram.Cycle) *Request {
 	var oldest *Request
 	for _, r := range q {
-		fb := c.geo.FlatBank(r.Loc)
-		bank := &c.banks[fb]
+		bank := &c.banks[r.fb]
 		if bank.AvailableAt(now) > now {
 			continue
 		}
@@ -411,12 +433,12 @@ func (c *Controller) pick(q []*Request, now dram.Cycle) *Request {
 			// Needs an ACT: respect tRC, tRRD and throttling.
 			actAt := now
 			if bank.OpenRow != dram.RowNone {
-				actAt = now + c.tim.TRP
+				actAt = now + c.tRP
 			}
-			if bank.LastActAt+c.tim.TRC+c.tim.PRACActTax > actAt {
+			if bank.LastActAt+c.actSpacing > actAt {
 				continue
 			}
-			if rank.LastActAt+c.tim.TRRDS > actAt {
+			if rank.LastActAt+c.tRRDS > actAt {
 				continue
 			}
 			if c.throt != nil && !r.Injected {
@@ -427,15 +449,15 @@ func (c *Controller) pick(q []*Request, now dram.Cycle) *Request {
 		}
 		if hit {
 			// First-ready: serve the oldest hit immediately.
-			if c.dataBusOK(now, c.tim.RowHitLatency()) {
+			if c.dataBusOK(now, c.hitLat) {
 				return r
 			}
 			continue
 		}
 		if oldest == nil {
-			lat := c.tim.RowClosedLatency()
+			lat := c.closedLat
 			if bank.OpenRow != dram.RowNone {
-				lat = c.tim.RowMissLatency()
+				lat = c.missLat
 			}
 			if c.dataBusOK(now, lat) {
 				oldest = r
@@ -453,8 +475,10 @@ func (c *Controller) dataBusOK(now dram.Cycle, latency dram.Cycle) bool {
 
 // service starts request r at cycle now, updating all timing state and
 // firing the tracker hook if an ACT was issued.
+//
+//dapper:hot
 func (c *Controller) service(r *Request, now dram.Cycle) {
-	fb := c.geo.FlatBank(r.Loc)
+	fb := r.fb
 	bank := &c.banks[fb]
 	rank := &c.ranks[r.Loc.Rank]
 
@@ -463,17 +487,17 @@ func (c *Controller) service(r *Request, now dram.Cycle) {
 	conflict := false
 	switch {
 	case bank.OpenRow == r.Loc.Row:
-		latency = c.tim.RowHitLatency()
+		latency = c.hitLat
 		c.stats.RowHits++
 	case bank.OpenRow == dram.RowNone:
-		latency = c.tim.RowClosedLatency()
+		latency = c.closedLat
 		bank.LastActAt = now
 		rank.LastActAt = now
 		activated = true
 		c.stats.RowMisses++
 	default:
-		latency = c.tim.RowMissLatency()
-		actAt := now + c.tim.TRP
+		latency = c.missLat
+		actAt := now + c.tRP
 		bank.LastActAt = actAt
 		rank.LastActAt = actAt
 		activated = true
@@ -533,7 +557,7 @@ func (c *Controller) service(r *Request, now dram.Cycle) {
 	}
 
 	if c.blame != nil {
-		c.emitServe(r, fb, now, dataEnd, latency-c.tim.RowHitLatency(), activated, conflict, opener)
+		c.emitServe(r, fb, now, dataEnd, latency-c.hitLat, activated, conflict, opener)
 	}
 
 	if activated {

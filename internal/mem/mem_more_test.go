@@ -161,3 +161,51 @@ func TestStatsAccumulate(t *testing.T) {
 		t.Fatal("read wait not tracked")
 	}
 }
+
+// TestPooledRequestFollowsRetarget reuses one Request the way the cores
+// and the cache hierarchy recycle theirs: served at bank A, reset to the
+// zero Request, pointed at bank B and enqueued again. The controller
+// caches the flat bank at Enqueue, so the second trip must land on B.
+// Bank A's rank is bulk-blocked in between, so a stale index would also
+// leave the request stuck behind A's block instead of completing.
+func TestPooledRequestFollowsRetarget(t *testing.T) {
+	for _, injected := range []bool{false, true} {
+		ft := &fakeTracker{}
+		c, geo, tim := testSetup(ft)
+		locA := dram.Loc{Rank: 0, BankGroup: 1, Bank: 2, Row: 10}
+		locB := dram.Loc{Rank: 1, BankGroup: 6, Bank: 3, Row: 20}
+		fbA, fbB := geo.FlatBank(locA), geo.FlatBank(locB)
+
+		r := &Request{Addr: geo.Compose(locA), Loc: locA, Injected: injected}
+		c.Enqueue(r, 0)
+		runUntil(c, 0, 500)
+		if !r.Done || c.BankOpenRow(fbA) != locA.Row {
+			t.Fatalf("injected=%v: first trip: done=%v, bank A row %d", injected, r.Done, c.BankOpenRow(fbA))
+		}
+
+		// The first tracker tick (at tREFI) bulk-refreshes bank A's rank.
+		ft.tickActs = []rh.Action{{Kind: rh.BulkRefreshRank, Loc: locA}}
+		start := tim.TREFI + 10
+		runUntil(c, 500, start)
+		if c.BankBlockedUntil(fbA) <= start+500 {
+			t.Fatalf("injected=%v: bank A blocked only until %d", injected, c.BankBlockedUntil(fbA))
+		}
+
+		*r = Request{}
+		r.Addr, r.Loc, r.Injected = geo.Compose(locB), locB, injected
+		c.Enqueue(r, start)
+		runUntil(c, start, start+500)
+		if !r.Done {
+			t.Fatalf("injected=%v: retargeted request stuck (bank A blocked until %d)", injected, c.BankBlockedUntil(fbA))
+		}
+		if got := c.BankOpenRow(fbB); got != locB.Row {
+			t.Fatalf("injected=%v: bank B open row = %d, want %d", injected, got, locB.Row)
+		}
+		if got := c.BankOpenRow(fbA); got != dram.RowNone {
+			t.Fatalf("injected=%v: bank A reopened row %d while blocked", injected, got)
+		}
+		if c.BankBlockedUntil(fbB) > r.DoneAt {
+			t.Fatalf("injected=%v: bank B blocked until %d, served by %d", injected, c.BankBlockedUntil(fbB), r.DoneAt)
+		}
+	}
+}

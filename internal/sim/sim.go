@@ -272,6 +272,7 @@ func run(cfg Config, wrapT func(channel int, t rh.Tracker) rh.Tracker, extraObs 
 	}
 	hier := &hierarchy{
 		geo:    cfg.Geometry,
+		dec:    dram.NewDecoder(cfg.Geometry),
 		llc:    llc,
 		ctrls:  controllers,
 		llcLat: cfg.LLCLatency,
@@ -584,6 +585,7 @@ func subMem(a *mem.Stats, b mem.Stats) {
 // DRAM write-backs via a bounded backlog.
 type hierarchy struct {
 	geo     dram.Geometry
+	dec     *dram.Decoder
 	llc     *cache.Cache
 	ctrls   []*mem.Controller
 	llcLat  dram.Cycle
@@ -646,7 +648,7 @@ func (h *hierarchy) Access(now dram.Cycle, core int, req *mem.Request) (dram.Cyc
 	if cpu.IsNC(addr) {
 		// Non-cacheable: straight to DRAM.
 		req.Addr = cpu.StripNC(addr)
-		req.Loc = h.geo.Decompose(req.Addr)
+		req.Loc = h.dec.Decompose(req.Addr)
 		if !h.ctrls[req.Loc.Channel].Enqueue(req, now) {
 			req.Addr = addr // restore tag for the retry
 			return 0, nil, false
@@ -661,9 +663,11 @@ func (h *hierarchy) Access(now dram.Cycle, core int, req *mem.Request) (dram.Cyc
 	line := addr / uint64(h.geo.LineBytes)
 	// A miss needs a fill slot in the target channel's queue; check
 	// before touching the LLC so backpressured misses don't allocate
-	// lines they never fetched.
+	// lines they never fetched. Contains(line) is exactly Access's hit
+	// test, so loc is set whenever the fill below needs it.
+	var loc dram.Loc
 	if !h.llc.Contains(line) {
-		loc := h.geo.Decompose(addr)
+		loc = h.dec.Decompose(addr)
 		if !h.ctrls[loc.Channel].CanEnqueue() {
 			return 0, nil, false
 		}
@@ -672,7 +676,7 @@ func (h *hierarchy) Access(now dram.Cycle, core int, req *mem.Request) (dram.Cyc
 	if res.Evicted && res.EvictedDirty {
 		wb := h.getReq()
 		wb.Addr = res.EvictedKey * uint64(h.geo.LineBytes)
-		wb.Loc = h.geo.Decompose(wb.Addr)
+		wb.Loc = h.dec.Decompose(wb.Addr)
 		wb.IsWrite = true
 		wb.Core = -1
 		wb.EnqueuedAt = -1
@@ -686,7 +690,7 @@ func (h *hierarchy) Access(now dram.Cycle, core int, req *mem.Request) (dram.Cyc
 	}
 	// Miss: fetch the line from DRAM (writes allocate and complete when
 	// the fill returns; the dirty data stays in the LLC).
-	req.Loc = h.geo.Decompose(addr)
+	req.Loc = loc
 	wasWrite := req.IsWrite
 	req.IsWrite = false // the DRAM side sees a fill read
 	if !h.ctrls[req.Loc.Channel].Enqueue(req, now) {
