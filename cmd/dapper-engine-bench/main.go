@@ -28,7 +28,9 @@
 // seconds — are the gated quantities, so the checks are meaningful on
 // machines faster or slower than the one that recorded the baseline,
 // and each measurement is timed -repeat times with the best kept, so
-// scheduler noise does not trip the 2% band. All benchmarked runs are
+// scheduler noise does not trip the 2% band. The engine repetitions
+// are interleaved round-robin, so a slow host phase cannot fall on one
+// engine's block of runs alone. All benchmarked runs are
 // telemetry-off and attribution-off, so the 2% gate is the
 // attribution-off overhead budget: the nil-probe checks the
 // attribution layer (like telemetry before it) leaves on the hot paths
@@ -108,28 +110,52 @@ func benchProfile(engine sim.Engine, attr bool) exp.Profile {
 	return p
 }
 
-// timeRun times the experiment repeat times and returns the fastest
-// run: best-of-N is the standard way to keep scheduler noise out of a
-// percent-level gate.
-func timeRun(id string, engine sim.Engine, attr bool, repeat int) (float64, error) {
+// engineRun is one timed configuration of the benchmarked experiment.
+type engineRun struct {
+	label  string
+	engine sim.Engine
+	attr   bool
+}
+
+// engineRuns are the three configurations timed against each other:
+// the cycle reference, the event engine, and the event engine with
+// attribution on. timeEngines returns their best times in this order.
+var engineRuns = []engineRun{
+	{"cycle engine", sim.EngineCycle, false},
+	{"event engine", sim.EngineEvent, false},
+	{"event engine, attribution on", sim.EngineEvent, true},
+}
+
+// timeEngines times the experiment under every engineRuns
+// configuration repeat times and returns the fastest run of each:
+// best-of-N is the standard way to keep scheduler noise out of a
+// percent-level gate. The repetitions go round-robin (cycle, event,
+// attribution, then again) rather than in per-configuration blocks, so
+// a slow host phase lands on every configuration instead of skewing
+// the ratio between two of them.
+func timeEngines(id string, repeat int) ([]float64, error) {
 	g, err := exp.Lookup(id)
 	if err != nil {
-		return 0, err
+		return nil, err
 	}
-	best := 0.0
+	best := make([]float64, len(engineRuns))
 	for i := 0; i < repeat; i++ {
-		//dapper:wallclock this command's purpose is timing the two engines against each other
-		start := time.Now()
-		tb, err := g(benchProfile(engine, attr))
-		if err != nil {
-			return 0, err
-		}
-		if len(tb.Rows) == 0 {
-			return 0, fmt.Errorf("%s produced no rows under %s engine", id, engine)
-		}
-		//dapper:wallclock closes the engine timing above
-		if s := time.Since(start).Seconds(); i == 0 || s < best {
-			best = s
+		for k, run := range engineRuns {
+			fmt.Fprintf(os.Stderr, "benchmarking %s: %s (%d/%d)...\n", id, run.label, i+1, repeat)
+			runtime.GC() // keep the previous run's garbage out of this timing
+			//dapper:wallclock this command's purpose is timing the two engines against each other
+			start := time.Now()
+			tb, err := g(benchProfile(run.engine, run.attr))
+			if err != nil {
+				return nil, err
+			}
+			if len(tb.Rows) == 0 {
+				return nil, fmt.Errorf("%s produced no rows under %s", id, run.label)
+			}
+			//dapper:wallclock closes the engine timing above
+			if s := time.Since(start).Seconds(); i == 0 || s < best[k] {
+				best[k] = s
+			}
 		}
 	}
 	return best, nil
@@ -157,7 +183,8 @@ func batchSweepRequest() exp.BatchRequest {
 // scheduler noise need more samples to fall out of a best-of minimum
 // than the whole-figure engine timings do), verifies the batched
 // results are byte-identical to the independent ones, and returns the
-// two timings plus the point/lockstep counts.
+// two timings plus the point/lockstep counts. The two sides alternate,
+// like the engine timings, so a slow host phase hits both.
 func timeBatch(repeat int) (indepS, batchS float64, points, lockstep int, err error) {
 	if repeat < 5 {
 		repeat = 5
@@ -168,6 +195,8 @@ func timeBatch(repeat int) (indepS, batchS float64, points, lockstep int, err er
 		return 0, 0, 0, 0, err
 	}
 	indep := make([]sim.Result, len(jobs))
+	var records []harness.Record
+	var stats exp.BatchStats
 	for i := 0; i < repeat; i++ {
 		runtime.GC() // keep earlier passes' garbage out of this timing
 		//dapper:wallclock this command's purpose is timing the batched runner against independent runs
@@ -183,14 +212,10 @@ func timeBatch(repeat int) (indepS, batchS float64, points, lockstep int, err er
 		if s := time.Since(start).Seconds(); i == 0 || s < indepS {
 			indepS = s
 		}
-	}
 
-	var records []harness.Record
-	var stats exp.BatchStats
-	for i := 0; i < repeat; i++ {
-		runtime.GC() // keep earlier passes' garbage out of this timing
+		runtime.GC()
 		//dapper:wallclock times the batched sweep pass
-		start := time.Now()
+		start = time.Now()
 		records, stats, err = exp.BatchedSweep(req, harness.Options{Workers: 1})
 		if err != nil {
 			return 0, 0, 0, 0, err
@@ -231,24 +256,12 @@ func main() {
 		*repeat = 1
 	}
 
-	fmt.Fprintf(os.Stderr, "benchmarking %s: cycle engine...\n", *expID)
-	cycleS, err := timeRun(*expID, sim.EngineCycle, false, *repeat)
+	times, err := timeEngines(*expID, *repeat)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(1)
 	}
-	fmt.Fprintf(os.Stderr, "benchmarking %s: event engine...\n", *expID)
-	eventS, err := timeRun(*expID, sim.EngineEvent, false, *repeat)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(1)
-	}
-	fmt.Fprintf(os.Stderr, "benchmarking %s: event engine, attribution on...\n", *expID)
-	attrS, err := timeRun(*expID, sim.EngineEvent, true, *repeat)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(1)
-	}
+	cycleS, eventS, attrS := times[0], times[1], times[2]
 	fmt.Fprintf(os.Stderr, "benchmarking batched sweep runner (8-point NRH sweep)...\n")
 	indepS, batchS, points, lockstep, err := timeBatch(*repeat)
 	if err != nil {

@@ -35,7 +35,26 @@ type Request struct {
 	// loops index the bank array directly. Pooled requests are reset
 	// and retargeted between uses; every Enqueue recomputes it.
 	fb int
+
+	// Readiness cache (see refreshReady). bankBound and class are the
+	// bank side of the scheduling constraints, derived from the bank's
+	// state at generation gen; ready folds in the rank and bus sides.
+	// Enqueue derives the bank side afresh, so nothing a reused Request
+	// carries over from its previous trip survives.
+	gen       uint64
+	bankBound dram.Cycle
+	ready     dram.Cycle
+	class     uint8
 }
+
+// Row-buffer classes of a queued request against its bank's state; they
+// index the per-class latency and bound arrays.
+const (
+	rowHit      = iota // the request's row is open: column command only
+	rowClosed          // bank precharged: ACT first
+	rowConflict        // another row open: PRE, then ACT
+	numClasses
+)
 
 // Stats aggregates controller-side performance counters. ReadsServed,
 // WritesServed and TotalReadWait cover demand traffic only; injected
@@ -64,9 +83,10 @@ type Controller struct {
 
 	// Timing constants the per-request loops read, precomputed so no
 	// loop copies the whole dram.Timing to call one of its methods.
-	hitLat, closedLat, missLat dram.Cycle // bank service latencies
-	actSpacing                 dram.Cycle // same-bank ACT-to-ACT: tRC plus the PRAC tax
-	tRP, tRRDS                 dram.Cycle
+	lat        [numClasses]dram.Cycle // bank service latency per row-buffer class
+	actDelay   [numClasses]dram.Cycle // ACT offset from the start: tRP on a conflict
+	actSpacing dram.Cycle             // same-bank ACT-to-ACT: tRC plus the PRAC tax
+	tRRDS      dram.Cycle
 
 	// openers, allocated only with a blame probe attached, tracks per
 	// flat bank who opened the currently open row: a core id, -1 for
@@ -92,6 +112,21 @@ type Controller struct {
 	reqPool  []*Request // recycled injected requests (tracker counter traffic)
 
 	version uint64 // bumped on Enqueue; lets callers cache NextEvent
+
+	// Readiness cache: every queued request's earliest start cycle,
+	// rederived only when state it depends on changes. Each mutation of
+	// bank state advances that bank's bankGen; each mutation of bank,
+	// rank or bus state sets stale. refreshReady then rederives the bank
+	// side of requests whose gen lags and refolds every request from the
+	// per-class rank and bus bounds. readyMin is the earliest ready cycle
+	// over the requests pick can judge from ready alone, which excludes
+	// throttled demand misses (see live).
+	bankGen   []uint64
+	rankBound [][numClasses]dram.Cycle
+	busBound  [numClasses]dram.Cycle
+	readyMin  dram.Cycle
+	hitMin    dram.Cycle // earliest ready cycle over row hits
+	stale     bool
 }
 
 // QueueCap is the per-channel read/write queue capacity; a full queue
@@ -113,12 +148,15 @@ func NewController(channel int, geo dram.Geometry, tim dram.Timing, tracker rh.T
 		queueCap:        QueueCap,
 		nextTrackerTick: tim.TREFI,
 		lastTick:        -1,
-		hitLat:          tim.RowHitLatency(),
-		closedLat:       tim.RowClosedLatency(),
-		missLat:         tim.RowMissLatency(),
+		lat:             [numClasses]dram.Cycle{tim.RowHitLatency(), tim.RowClosedLatency(), tim.RowMissLatency()},
+		actDelay:        [numClasses]dram.Cycle{rowConflict: tim.TRP},
 		actSpacing:      tim.TRC + tim.PRACActTax,
-		tRP:             tim.TRP,
 		tRRDS:           tim.TRRDS,
+		bankGen:         make([]uint64, geo.BanksPerChannel()),
+		rankBound:       make([][numClasses]dram.Cycle, geo.Ranks),
+		readyMin:        dram.Never,
+		hitMin:          dram.Never,
+		stale:           true,
 	}
 	for i := range c.banks {
 		c.banks[i] = dram.NewBank()
@@ -216,6 +254,7 @@ func (c *Controller) Enqueue(r *Request, now dram.Cycle) bool {
 		r.EnqueuedAt = now
 		r.fb = c.geo.FlatBank(r.Loc)
 		c.injected = append(c.injected, r)
+		c.admit(c.injected)
 		c.resetConsider(now + 1)
 		c.version++
 		c.sampleQueue(now)
@@ -232,10 +271,35 @@ func (c *Controller) Enqueue(r *Request, now dram.Cycle) bool {
 		r.ThrottleFreeAt = c.throt.NextAllowed(now, r.Loc)
 	}
 	c.queue = append(c.queue, r)
+	c.admit(c.queue)
 	c.resetConsider(now + 1)
 	c.version++
 	c.sampleQueue(now)
 	return true
+}
+
+// admit enters the request just appended to q into the readiness
+// cache. The bank side is always derived here, even when the cache is
+// stale: a reused Request may carry a gen that happens to match its new
+// bank's, and refreshReady would then keep the class and bound from its
+// previous trip. On a fresh cache the request folds straight into
+// readyMin.
+func (c *Controller) admit(q []*Request) {
+	last := len(q) - 1
+	c.bankSide(q[last])
+	if !c.stale {
+		c.fold(q[last:])
+	}
+}
+
+// markBank records a change to bank fb's state: requests on it rederive
+// their bank side, and every request refolds, at the next refreshReady.
+// Every mutation of bank, rank or bus state must come through here (a
+// rank or bus change marks the bank whose service caused it), or the
+// scheduler reads a stale bound.
+func (c *Controller) markBank(fb int) {
+	c.bankGen[fb]++
+	c.stale = true
 }
 
 // resetConsider re-arms the scheduler: the next attempt is allowed at
@@ -293,6 +357,7 @@ func (c *Controller) refreshTick(now dram.Cycle) {
 			base := r * c.geo.BanksPerRank()
 			for b := 0; b < c.geo.BanksPerRank(); b++ {
 				c.banks[base+b].Block(until)
+				c.markBank(base + b)
 				c.blameBlock(base+b, at, until, telemetry.CauseREF, -1)
 			}
 			rk.NextRefAt += c.tim.TREFI
@@ -347,10 +412,7 @@ func (c *Controller) NextEvent(now dram.Cycle) dram.Cycle {
 // scheduling constraint (assuming no state changes before then — any
 // state change is itself an event that re-triggers this computation).
 func (c *Controller) nextAttempt(now dram.Cycle) dram.Cycle {
-	ready := c.earliestReady(c.injected, now)
-	if t := c.earliestReady(c.queue, now); t < ready {
-		ready = t
-	}
+	ready := c.earliestReady(now)
 	anchor := max(c.nextConsider, now+1)
 	if ready <= anchor {
 		return anchor
@@ -358,39 +420,107 @@ func (c *Controller) nextAttempt(now dram.Cycle) dram.Cycle {
 	return anchor + (ready-anchor+1)/2*2
 }
 
-// earliestReady returns the earliest cycle after now at which pick could
-// start some request in q, given frozen controller state. The bound
-// mirrors pick's constraints exactly: bank/rank availability, tRC and
-// tRRD spacing (plus the PRAC tax), throttling, and data-bus occupancy.
+// live reports whether r's readiness depends on the query time, so
+// the cached ready cycle is only a lower bound: a demand miss under a
+// throttler, whose NextAllowed answer may change with time.
+func (c *Controller) live(r *Request) bool {
+	return c.throt != nil && !r.Injected && r.class != rowHit
+}
+
+// bankSide derives r's row-buffer class and bank-side bound from its
+// bank's current state: the bank must be ready and unblocked and, when
+// r needs an ACT, tRC (plus the PRAC tax) past the bank's last ACT.
 //
 //dapper:hot
-func (c *Controller) earliestReady(q []*Request, now dram.Cycle) dram.Cycle {
-	best := dram.Never
+func (c *Controller) bankSide(r *Request) {
+	bank := &c.banks[r.fb]
+	r.gen = c.bankGen[r.fb]
+	t := max(bank.ReadyAt, bank.BlockedUntil)
+	switch {
+	case bank.OpenRow == r.Loc.Row:
+		r.class = rowHit
+	case bank.OpenRow == dram.RowNone:
+		r.class = rowClosed
+	default:
+		r.class = rowConflict
+	}
+	if r.class != rowHit {
+		t = max(t, bank.LastActAt+c.actSpacing-c.actDelay[r.class])
+	}
+	r.bankBound = t
+}
+
+// fold completes the ready cycle of each request in q from the
+// per-class rank and bus bounds, first rederiving its bank side if the
+// bank changed since, and lowers readyMin to match.
+//
+//dapper:hot
+func (c *Controller) fold(q []*Request) {
+	gens, ranks, bus := c.bankGen, c.rankBound, &c.busBound
+	readyMin, hitMin := c.readyMin, c.hitMin
 	for _, r := range q {
-		bank := &c.banks[r.fb]
-		rank := &c.ranks[r.Loc.Rank]
-		t := now + 1
-		t = max(t, bank.ReadyAt)
-		t = max(t, bank.BlockedUntil)
-		t = max(t, rank.BlockedUntil)
-		lat := c.hitLat
-		if bank.OpenRow != r.Loc.Row {
-			var actDelay dram.Cycle
-			lat = c.closedLat
-			if bank.OpenRow != dram.RowNone {
-				actDelay = c.tRP
-				lat = c.missLat
-			}
-			t = max(t, bank.LastActAt+c.actSpacing-actDelay)
-			t = max(t, rank.LastActAt+c.tRRDS-actDelay)
-			if c.throt != nil && !r.Injected {
-				t = max(t, c.throt.NextAllowed(t, r.Loc))
-			}
+		if r.gen != gens[r.fb] {
+			c.bankSide(r)
 		}
-		t = max(t, c.dataBusFreeAt-lat)
-		if t < best {
-			best = t
+		r.ready = max(r.bankBound, ranks[r.Loc.Rank][r.class], bus[r.class])
+		if r.ready < readyMin && !c.live(r) {
+			readyMin = r.ready
 		}
+		if r.class == rowHit && r.ready < hitMin {
+			hitMin = r.ready
+		}
+	}
+	c.readyMin, c.hitMin = readyMin, hitMin
+}
+
+// refreshReady brings the readiness cache up to date after state
+// changes. A request of class k can start at cycle t iff t >= ready:
+// its bank side, its rank unblocked and tRRD past the rank's last ACT
+// (both less k's ACT offset), and the data bus free by the time its
+// burst would begin. Throttling is the one constraint left out.
+//
+//dapper:hot
+func (c *Controller) refreshReady() {
+	if !c.stale {
+		return
+	}
+	c.stale = false
+	for i := range c.ranks {
+		rk := &c.ranks[i]
+		rb := &c.rankBound[i]
+		rb[rowHit] = rk.BlockedUntil
+		rb[rowClosed] = max(rk.BlockedUntil, rk.LastActAt+c.tRRDS)
+		rb[rowConflict] = max(rk.BlockedUntil, rk.LastActAt+c.tRRDS-c.actDelay[rowConflict])
+	}
+	for k := range c.busBound {
+		c.busBound[k] = c.dataBusFreeAt - c.lat[k]
+	}
+	c.readyMin, c.hitMin = dram.Never, dram.Never
+	c.fold(c.injected)
+	c.fold(c.queue)
+}
+
+// earliestReady returns the earliest cycle after now at which pick could
+// start some queued request, given frozen controller state: readyMin,
+// and for each throttled demand miss the throttler's answer at the
+// cycle its other constraints first allow (the bus last, as the
+// throttler is asked about the ACT, not the burst).
+//
+//dapper:hot
+func (c *Controller) earliestReady(now dram.Cycle) dram.Cycle {
+	c.refreshReady()
+	best := max(now+1, c.readyMin)
+	if c.throt == nil {
+		return best
+	}
+	for _, r := range c.queue {
+		if !c.live(r) {
+			continue
+		}
+		t := max(now+1, r.bankBound, c.rankBound[r.Loc.Rank][r.class])
+		t = max(t, c.throt.NextAllowed(t, r.Loc))
+		t = max(t, c.busBound[r.class])
+		best = min(best, t)
 	}
 	return best
 }
@@ -398,6 +528,7 @@ func (c *Controller) earliestReady(q []*Request, now dram.Cycle) dram.Cycle {
 // trySchedule starts at most one request. Returns true if progress was
 // made (so the idle backoff only engages when truly stalled).
 func (c *Controller) trySchedule(now dram.Cycle) bool {
+	c.refreshReady()
 	if r := c.pick(c.injected, now); r != nil {
 		c.service(r, now)
 		c.removeInjected(r)
@@ -414,63 +545,28 @@ func (c *Controller) trySchedule(now dram.Cycle) bool {
 }
 
 // pick implements FR-FCFS over a queue: the oldest row-buffer hit that
-// can start now, else the oldest request that can start now.
+// can start now, else the oldest request that can start now. The
+// readiness cache must be fresh.
 //
 //dapper:hot
 func (c *Controller) pick(q []*Request, now dram.Cycle) *Request {
 	var oldest *Request
+	hits := c.hitMin <= now // else the first startable request is the answer
 	for _, r := range q {
-		bank := &c.banks[r.fb]
-		if bank.AvailableAt(now) > now {
+		if r.ready > now {
 			continue
 		}
-		rank := &c.ranks[r.Loc.Rank]
-		if rank.BlockedUntil > now {
-			continue
+		if r.class == rowHit {
+			return r // first-ready: serve the oldest hit immediately
 		}
-		hit := bank.OpenRow == r.Loc.Row
-		if !hit {
-			// Needs an ACT: respect tRC, tRRD and throttling.
-			actAt := now
-			if bank.OpenRow != dram.RowNone {
-				actAt = now + c.tRP
-			}
-			if bank.LastActAt+c.actSpacing > actAt {
-				continue
-			}
-			if rank.LastActAt+c.tRRDS > actAt {
-				continue
-			}
-			if c.throt != nil && !r.Injected {
-				if c.throt.NextAllowed(now, r.Loc) > now {
-					continue
-				}
-			}
-		}
-		if hit {
-			// First-ready: serve the oldest hit immediately.
-			if c.dataBusOK(now, c.hitLat) {
+		if oldest == nil && (!c.live(r) || c.throt.NextAllowed(now, r.Loc) <= now) {
+			if !hits {
 				return r
 			}
-			continue
-		}
-		if oldest == nil {
-			lat := c.closedLat
-			if bank.OpenRow != dram.RowNone {
-				lat = c.missLat
-			}
-			if c.dataBusOK(now, lat) {
-				oldest = r
-			}
+			oldest = r
 		}
 	}
 	return oldest
-}
-
-// dataBusOK checks the channel data bus is free when this request's
-// burst would begin.
-func (c *Controller) dataBusOK(now dram.Cycle, latency dram.Cycle) bool {
-	return c.dataBusFreeAt <= now+latency
 }
 
 // service starts request r at cycle now, updating all timing state and
@@ -481,28 +577,22 @@ func (c *Controller) service(r *Request, now dram.Cycle) {
 	fb := r.fb
 	bank := &c.banks[fb]
 	rank := &c.ranks[r.Loc.Rank]
+	// Marked before anything below can enqueue tracker traffic, so that
+	// traffic never folds against the pre-service bounds.
+	c.markBank(fb)
 
-	var latency dram.Cycle
-	activated := false
-	conflict := false
-	switch {
-	case bank.OpenRow == r.Loc.Row:
-		latency = c.hitLat
-		c.stats.RowHits++
-	case bank.OpenRow == dram.RowNone:
-		latency = c.closedLat
-		bank.LastActAt = now
-		rank.LastActAt = now
-		activated = true
-		c.stats.RowMisses++
-	default:
-		latency = c.missLat
-		actAt := now + c.tRP
+	// The readiness cache is fresh here (trySchedule refreshed it before
+	// pick), so r.class is the bank's current row-buffer state.
+	latency := c.lat[r.class]
+	activated := r.class != rowHit
+	conflict := r.class == rowConflict
+	if activated {
+		actAt := now + c.actDelay[r.class]
 		bank.LastActAt = actAt
 		rank.LastActAt = actAt
-		activated = true
-		conflict = true
 		c.stats.RowMisses++
+	} else {
+		c.stats.RowHits++
 	}
 	// Capture who opened the row this request conflicts with before
 	// the bank state mutates, and record the new opener.
@@ -557,7 +647,7 @@ func (c *Controller) service(r *Request, now dram.Cycle) {
 	}
 
 	if c.blame != nil {
-		c.emitServe(r, fb, now, dataEnd, latency-c.hitLat, activated, conflict, opener)
+		c.emitServe(r, fb, now, dataEnd, latency-c.lat[rowHit], activated, conflict, opener)
 	}
 
 	if activated {
@@ -681,6 +771,7 @@ func (c *Controller) blockBank(loc dram.Loc, dur, now dram.Cycle, cause telemetr
 		start = bank.BlockedUntil
 	}
 	bank.Block(start + dur)
+	c.markBank(fb)
 	c.blameBlock(fb, start, start+dur, cause, culprit)
 	c.resetConsider(now)
 }
@@ -705,6 +796,7 @@ func (c *Controller) bulkRefreshRank(now dram.Cycle, rankID int, culprit int) {
 	base := rankID * c.geo.BanksPerRank()
 	for b := 0; b < c.geo.BanksPerRank(); b++ {
 		c.banks[base+b].Block(until)
+		c.markBank(base + b)
 		c.blameBlock(base+b, now, until, telemetry.CauseBulk, culprit)
 	}
 	c.counters.BulkEvents++
