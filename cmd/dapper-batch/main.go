@@ -52,7 +52,7 @@ func main() {
 	seed := flag.Uint64("seed", 0, "override the profile's workload/attack trace seed (0 = profile default)")
 	engineName := flag.String("engine", "event", "simulation engine: event (time-skipping, default) or cycle (per-cycle reference)")
 	jobs := flag.Int("jobs", runtime.NumCPU(), "parallel simulation workers (<=0 = NumCPU)")
-	batched := flag.Bool("batch", false, "advance all tracker configs sharing a trace stream in lockstep (sim.RunBatch): decode once, full runs only for the lead and diverging points; results stay byte-identical")
+	batched := flag.Bool("batch", false, "run through exp.BatchedSweep and print the shared-stream grouping: groups, lockstep riders, full runs and fallback reasons (points sharing a trace stream share one simulation either way; results are identical)")
 	cacheDir := flag.String("cache", "", "disk result-cache directory")
 	outDir := flag.String("out", ".", "output directory for batch.jsonl + batch.csv")
 	windowUS := flag.Float64("window-us", 0, "in-sim telemetry window in microseconds (0 = off); each result gains a windowed Series")
@@ -176,10 +176,7 @@ func main() {
 
 	//dapper:wallclock sweep elapsed-time for the stderr summary line only
 	start := time.Now()
-	futures := make([]*harness.Future, len(batch))
-	for i, job := range batch {
-		futures[i] = pool.Submit(job)
-	}
+	futures := pool.SubmitAll(batch)
 	failed := 0
 	for _, f := range futures {
 		if _, err := f.Wait(); err != nil {
@@ -198,8 +195,8 @@ func main() {
 		fmt.Fprintf(os.Stderr, "telemetry written to %s (open trace.json at https://ui.perfetto.dev)\n", *telemetryDir)
 	}
 	fmt.Fprintln(os.Stderr)
-	fmt.Printf("%d runs (%d simulated, %d cache hits, %d deduplicated) in %.1fs on %d workers\n",
-		st.Submitted, st.Ran, st.CacheHits, st.Submitted-st.Unique,
+	fmt.Printf("%d runs (%d simulated, %d lockstep, %d diverged, %d cache hits, %d deduplicated) in %.1fs on %d workers\n",
+		st.Submitted, st.Ran, st.Lockstep, st.Diverged, st.CacheHits, st.Submitted-st.Unique,
 		//dapper:wallclock elapsed seconds printed in the run summary, not written to any sink
 		time.Since(start).Seconds(), *jobs)
 	fmt.Printf("wrote %s and %s\n",
@@ -210,10 +207,9 @@ func main() {
 	}
 }
 
-// runBatched executes the sweep through exp.BatchedSweep (-batch):
-// specs sharing a trace stream are decoded once and advanced in
-// lockstep, with automatic fallback to independent runs for points
-// whose tracker perturbs the stream.
+// runBatched executes the sweep through exp.BatchedSweep (-batch): the
+// same pool run as the default path, summarized per shared-stream
+// group with a histogram of how each point's result was produced.
 func runBatched(req exp.BatchRequest, jobs int, cache *harness.Cache, sinks []harness.Sink, outDir string) {
 	blameAgg := diag.NewBlameAgg()
 	//dapper:wallclock sweep elapsed-time for the stderr summary line only
@@ -231,8 +227,8 @@ func runBatched(req exp.BatchRequest, jobs int, cache *harness.Cache, sinks []ha
 	if err != nil {
 		fatal(err)
 	}
-	fmt.Printf("%d points in %d lockstep groups (%d replayed, %d full runs, %d cache hits) in %.1fs on %d workers\n",
-		st.Points, st.Groups, st.Lockstep, st.FullRuns, st.CacheHits,
+	fmt.Printf("%d points in %d shared-stream groups (%d lockstep, %d diverged, %d full runs, %d cache hits) in %.1fs on %d workers\n",
+		st.Points, st.Groups, st.Lockstep, st.Diverged, st.FullRuns, st.CacheHits,
 		//dapper:wallclock elapsed seconds printed in the run summary, not written to any sink
 		time.Since(start).Seconds(), jobs)
 	if len(st.Reasons) > 0 {

@@ -117,8 +117,8 @@ func main() {
 		os.Exit(1)
 	}
 	st := pool.Stats()
-	fmt.Fprintf(os.Stderr, "simulations: %d ran, %d cache hits, %d deduplicated (of %d requests) on %d workers\n",
-		st.Ran, st.CacheHits, st.Submitted-st.Unique, st.Submitted, *jobs)
+	fmt.Fprintf(os.Stderr, "simulations: %d ran, %d lockstep, %d diverged, %d cache hits, %d deduplicated (of %d requests) on %d workers\n",
+		st.Ran, st.Lockstep, st.Diverged, st.CacheHits, st.Submitted-st.Unique, st.Submitted, *jobs)
 	if *outDir != "" {
 		fmt.Fprintf(os.Stderr, "records: %s\n", filepath.Join(*outDir, "results.{jsonl,csv}"))
 	}

@@ -31,6 +31,19 @@
 // to pluggable harness.Sinks (in-memory, JSONL, CSV) in submission
 // order, keeping file output deterministic at any worker count.
 //
+// Jobs that carry a harness.Stream (every unaudited figure and sweep
+// point exp builds) are grouped by stream key: the descriptor minus
+// tracker and mode, and minus NRH when no attack trace depends on it.
+// A worker that dequeues one claims the still-queued jobs of its
+// stream and runs them through sim.RunBatch: the lead (the insecure
+// baseline if present, else the highest-NRH non-throttler) simulates
+// the system while every other member's trackers are fed the same
+// calls inline and ride it as long as their actions agree. A member
+// that throttles, taxes ACTs or reserves LLC differently, or diverges
+// mid-run goes straight back to the queue as an independent job.
+// Results are byte-identical either way, so grouping has no switch;
+// Pool.Stats counts Ran, Lockstep and Diverged.
+//
 // Generators fan out via exp.Generate's collect/replay scheme: a
 // collect pass records every simulation the generator will request, the
 // pool executes them in parallel, and a replay pass rebuilds the table

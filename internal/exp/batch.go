@@ -141,11 +141,7 @@ func (req BatchRequest) Jobs() ([]harness.Job, error) {
 	}
 	jobs := make([]harness.Job, 0, len(specs))
 	for _, s := range specs {
-		s := s
-		jobs = append(jobs, harness.Job{
-			Desc: s.descriptor(),
-			Run:  func() (sim.Result, error) { return run(s) },
-		})
+		jobs = append(jobs, s.job(s.descriptor()))
 	}
 	return jobs, nil
 }

@@ -2,272 +2,86 @@ package exp
 
 import (
 	"fmt"
-	"sync"
-	"time"
 
-	"dapper/internal/attack"
-	"dapper/internal/cpu"
 	"dapper/internal/harness"
-	"dapper/internal/sim"
 )
 
-// BatchedSweep executes a BatchRequest through sim.RunBatch instead of
-// one sim.Run per point: specs that share a memory-request stream
-// (same workload traces, geometry and windows — everything except the
-// tracker under test) are grouped, their traces decoded once, and all
-// trackers in the group advanced in lockstep behind a single system
-// simulation. Points whose tracker perturbs the stream (throttlers,
-// ACT taxes, LLC reservations, or detected divergence) transparently
-// fall back to independent runs inside RunBatch, so every record is
-// byte-identical to what the Jobs/Pool path would have produced.
-//
-// Descriptors — and therefore cache keys — are shared with Jobs: a
-// sweep half-served from a disk cache stays coherent no matter which
-// runner populated it. Records are delivered to opt.Sinks in spec
-// order (tracker-major, then NRH, then workload), matching the pool's
-// submission-order guarantee.
-
-// BatchStats summarizes how a BatchedSweep executed.
+// BatchStats summarizes how a BatchedSweep executed. The run counters
+// are the pool's (harness.Stats); Groups and Reasons are read off the
+// sweep's futures.
 type BatchStats struct {
 	// Points is the total number of sweep points (specs).
 	Points int
 	// Groups is the number of shared-stream groups actually simulated
-	// (fully-cached groups are skipped).
+	// (fully-cached streams are skipped).
 	Groups int
 	// CacheHits counts points served from the cache without simulating.
 	CacheHits int
-	// Lockstep counts points replayed against a lead's recorded stream.
+	// Lockstep counts points that rode another point's simulation.
 	Lockstep int
-	// FullRuns counts points that ran a full system simulation (the
-	// lead of each group plus every fallback).
+	// Diverged counts points that left their group mid-run and ran
+	// again independently.
+	Diverged int
+	// FullRuns counts full system simulations: each group's lead plus
+	// every point that ran independently.
 	FullRuns int
-	// Reasons histograms the non-lockstep outcomes by FallbackReason
-	// (the lead itself appears under "lead").
+	// Reasons histograms the non-cached outcomes by sim.FallbackReason
+	// ("lockstep" for riders, "lead" for the leads).
 	Reasons map[string]int
 }
 
-// batchGroup is one shared-stream group: indices into the spec slice,
-// in spec order (the first member's spec defines the base config).
-type batchGroup struct {
-	key     string
-	members []int
-}
-
-// streamKey identifies the memory-request stream a spec drives: its
-// descriptor with the tracker identity erased. NRH participates only
-// when an attack trace is generated from it; benign sweeps share one
-// stream across the whole NRH axis.
-func streamKey(s runSpec) string {
-	d := s.descriptor()
-	d.Tracker = ""
-	d.Mode = ""
-	if s.attack == attack.None {
-		d.NRH = 0
-	}
-	return d.Key()
-}
-
-// batchTraces builds the group's shared trace set exactly as run()
-// would for the group's first spec.
-func batchTraces(s runSpec) ([]cpu.Trace, error) {
-	if s.benign4 {
-		return sim.BenignTraces(s.workload, 4, s.geo, s.seed), nil
-	}
-	traces := sim.BenignTraces(s.workload, 3, s.geo, s.seed)
-	atk, err := attack.NewTrace(attack.Config{
-		Geometry: s.geo, NRH: s.nrh, Kind: s.attack,
-		Params: s.attackParams, Seed: s.seed,
-	})
-	if err != nil {
-		return nil, err
-	}
-	return append(traces, atk), nil
-}
-
-// BatchedSweep runs the request's sweep through the lockstep batch
-// runner and returns the completed records in spec order plus
-// execution statistics. Sinks in opt are flushed and closed before
-// returning. Workers bounds concurrent groups; Cache is consulted
-// per point and populated with fresh results; OnProgress/OnResult
-// fire per completed point like the pool's callbacks.
-//
-//dapper:wallclock times group execution for Record.Elapsed and progress reporting; simulated results are pure functions of the descriptors
+// BatchedSweep runs the request's sweep on a fresh pool built from opt
+// and returns the completed records in spec order plus execution
+// statistics. It is the Jobs path with the stream grouping every pool
+// does (harness.Pool): specs that share a memory-request stream (same
+// workload traces, geometry and windows — everything except the
+// tracker under test) ride one system simulation, and points whose
+// tracker perturbs the stream run independently, so every record is
+// byte-identical to the one the plain pool path produces, under the
+// same descriptors and cache keys. Sinks in opt receive the records in
+// spec order and are closed before returning.
 func BatchedSweep(req BatchRequest, opt harness.Options) ([]harness.Record, BatchStats, error) {
-	specs, err := req.specs()
+	jobs, err := req.Jobs()
 	if err != nil {
 		return nil, BatchStats{}, err
 	}
-	stats := BatchStats{Points: len(specs), Reasons: make(map[string]int)}
+	mem := harness.NewMemorySink()
+	opt.Sinks = append(append([]harness.Sink(nil), opt.Sinks...), mem)
+	pool := harness.NewPool(opt)
+	futures := pool.SubmitAll(jobs)
 
-	type slot struct {
-		res     sim.Result
-		outcome sim.BatchOutcome
-		elapsed time.Duration
-		cached  bool
-		filled  bool
-	}
-	slots := make([]slot, len(specs))
-	keys := make([]string, len(specs))
-
-	// Serve cache hits first; group only what still needs simulating.
-	var groups []*batchGroup
-	byKey := make(map[string]*batchGroup)
-	for i, s := range specs {
-		keys[i] = s.descriptor().Key()
-		if opt.Cache != nil {
-			if res, ok := opt.Cache.Get(keys[i]); ok {
-				slots[i] = slot{res: res, cached: true, filled: true}
-				stats.CacheHits++
-				continue
+	stats := BatchStats{Points: len(jobs), Reasons: make(map[string]int)}
+	var firstErr error
+	groups := make(map[harness.Descriptor]bool)
+	for i, f := range futures {
+		if _, err := f.Wait(); err != nil {
+			if firstErr == nil {
+				firstErr = fmt.Errorf("exp: batched sweep %s: %w", f.Desc(), err)
 			}
+			continue
 		}
-		gk := streamKey(s)
-		g, ok := byKey[gk]
-		if !ok {
-			g = &batchGroup{key: gk}
-			byKey[gk] = g
-			groups = append(groups, g)
+		if f.Cached() {
+			continue
 		}
-		g.members = append(g.members, i)
+		groups[jobs[i].Stream.Key] = true
+		o := f.Outcome()
+		if o.Lockstep {
+			stats.Reasons["lockstep"]++
+		} else {
+			stats.Reasons[string(o.Reason)]++
+		}
 	}
+	if err := pool.Close(); err != nil && firstErr == nil {
+		firstErr = err
+	}
+	st := pool.Stats()
 	stats.Groups = len(groups)
-
-	var (
-		mu       sync.Mutex
-		firstErr error
-		done     int
-	)
-	finishPoint := func(i int) {
-		done++
-		if opt.OnProgress != nil {
-			opt.OnProgress(done, len(specs))
-		}
-		if opt.OnResult != nil && slots[i].filled {
-			opt.OnResult(specs[i].descriptor(), slots[i].res)
-		}
-	}
-
-	sem := make(chan struct{}, harness.NormalizeJobs(opt.Workers))
-	var wg sync.WaitGroup
-	for _, g := range groups {
-		wg.Add(1)
-		go func(g *batchGroup) {
-			defer wg.Done()
-			sem <- struct{}{}
-			defer func() { <-sem }()
-			mu.Lock()
-			abort := firstErr != nil
-			mu.Unlock()
-			if abort {
-				return
-			}
-
-			first := specs[g.members[0]]
-			traces, err := batchTraces(first)
-			if err == nil && len(traces) == 0 {
-				err = fmt.Errorf("exp: no traces for %s", first.workload.Name)
-			}
-			var (
-				results  []sim.Result
-				outcomes []sim.BatchOutcome
-				per      time.Duration
-			)
-			if err == nil {
-				cfg := sim.Config{
-					Geometry:        first.geo,
-					LLCBytes:        first.llcBytes,
-					Traces:          traces,
-					Warmup:          first.warmup,
-					Measure:         first.measure,
-					Engine:          first.engine,
-					TelemetryWindow: first.telemetryWindow,
-					Attribution:     first.attribution,
-				}
-				points := make([]sim.BatchPoint, len(g.members))
-				for j, si := range g.members {
-					points[j] = sim.BatchPoint{
-						Tracker: specs[si].tracker.Factory,
-						Mode:    specs[si].tracker.Mode,
-					}
-				}
-				start := time.Now()
-				results, outcomes, err = sim.RunBatch(cfg, points)
-				// The group shares one decode and (for lockstep points) one
-				// system simulation; charge each point its even share.
-				per = time.Since(start) / time.Duration(len(g.members))
-			}
-
-			mu.Lock()
-			defer mu.Unlock()
-			if err != nil {
-				if firstErr == nil {
-					firstErr = fmt.Errorf("exp: batched group %s: %w", first.workload.Name, err)
-				}
-				return
-			}
-			for j, si := range g.members {
-				slots[si] = slot{res: results[j], outcome: outcomes[j], elapsed: per, filled: true}
-				if opt.Cache != nil {
-					// A failed memoization write must not discard a completed
-					// simulation (same policy as the pool).
-					_ = opt.Cache.Put(keys[si], results[j])
-				}
-				finishPoint(si)
-			}
-		}(g)
-	}
-	wg.Wait()
-
-	// Cached points report progress after the simulated ones so the
-	// callback still sees strictly increasing counts.
-	mu.Lock()
-	for i := range specs {
-		if slots[i].cached {
-			finishPoint(i)
-		}
-	}
-	mu.Unlock()
-
+	stats.CacheHits = st.CacheHits
+	stats.Lockstep = st.Lockstep
+	stats.Diverged = st.Diverged
+	stats.FullRuns = st.Ran
 	if firstErr != nil {
-		for _, s := range opt.Sinks {
-			_ = s.Close()
-		}
 		return nil, stats, firstErr
 	}
-
-	records := make([]harness.Record, len(specs))
-	for i, s := range specs {
-		records[i] = harness.Record{
-			Key:     keys[i],
-			Desc:    s.descriptor(),
-			Cached:  slots[i].cached,
-			Elapsed: slots[i].elapsed,
-			Result:  slots[i].res,
-		}
-		switch {
-		case slots[i].cached:
-			// cache hits count neither as lockstep nor full runs
-		case slots[i].outcome.Lockstep:
-			stats.Lockstep++
-			stats.Reasons["lockstep"]++
-		default:
-			stats.FullRuns++
-			stats.Reasons[string(slots[i].outcome.Reason)]++
-		}
-	}
-
-	var sinkErr error
-	for _, rec := range records {
-		for _, s := range opt.Sinks {
-			if err := s.Write(rec); err != nil && sinkErr == nil {
-				sinkErr = err
-			}
-		}
-	}
-	for _, s := range opt.Sinks {
-		if err := s.Close(); err != nil && sinkErr == nil {
-			sinkErr = err
-		}
-	}
-	return records, stats, sinkErr
+	return mem.Records(), stats, nil
 }

@@ -8,7 +8,6 @@ import (
 	"dapper/internal/core"
 	"dapper/internal/dram"
 	"dapper/internal/rh"
-	"dapper/internal/sim"
 	"dapper/internal/stats"
 )
 
@@ -259,5 +258,3 @@ func SecH(p Profile) (*Table, error) {
 	t.AddNote("paper: 99.99%% prevention per tREFW at 8K groups")
 	return t, nil
 }
-
-var _ = sim.NopFactory // keep sim imported for future spec extensions

@@ -45,10 +45,7 @@ func (h *harnessCtx) record(s runSpec) {
 	}
 	h.seen[key] = true
 	h.keys = append(h.keys, key)
-	h.jobs = append(h.jobs, harness.Job{
-		Desc: d,
-		Run:  func() (sim.Result, error) { return run(s) },
-	})
+	h.jobs = append(h.jobs, s.job(d))
 }
 
 // lookup serves one spec during the replay pass.
@@ -103,10 +100,7 @@ func Generate(id string, p Profile, pool *harness.Pool) (*Table, error) {
 		return tb, nil
 	}
 
-	futures := make([]*harness.Future, len(collect.jobs))
-	for i, job := range collect.jobs {
-		futures[i] = pool.Submit(job)
-	}
+	futures := pool.SubmitAll(collect.jobs)
 	results := make(map[string]sim.Result, len(futures))
 	for i, f := range futures {
 		res, err := f.Wait()

@@ -1,27 +1,52 @@
 package exp
 
 import (
+	"bytes"
+	"context"
+	"encoding/json"
+	"errors"
 	"strings"
+	"sync"
 	"testing"
+	"time"
 
 	"dapper/internal/harness"
+	"dapper/internal/sim"
 )
 
 // TestGenerateMatchesSerial is the harness's core guarantee: parallel
 // generation must be byte-identical to the serial path, because the
-// replay pass walks the exact serial code over memoized results.
+// replay pass walks the exact serial code over memoized results. The
+// profile gives the benign sweeps two NRH points and two workloads, so
+// the pool's shared-stream groups have leads, riders and divergences;
+// every simulation the pool delivers must also equal the serial run of
+// its descriptor.
 func TestGenerateMatchesSerial(t *testing.T) {
 	if testing.Short() {
 		t.Skip("simulation experiments skipped in -short")
 	}
 	p := Tiny()
-	for _, id := range []string{"fig11", "fig12"} {
+	p.NRHSweep = []uint32{500, 2000}
+	p.SweepWorkloads = p.Workloads[:2]
+	var lockstep, diverged int
+	for _, id := range []string{"fig9", "fig11", "fig12", "fig14", "fig15"} {
 		serial, err := Generate(id, p, nil)
 		if err != nil {
 			t.Fatalf("%s serial: %v", id, err)
 		}
+		want := serialResults(t, id, p)
 		for _, workers := range []int{1, 8} {
-			pool := harness.NewPool(harness.Options{Workers: workers})
+			var mu sync.Mutex
+			got := make(map[string][]byte)
+			pool := harness.NewPool(harness.Options{Workers: workers, OnResult: func(d harness.Descriptor, r sim.Result) {
+				js, err := json.Marshal(r)
+				if err != nil {
+					panic(err)
+				}
+				mu.Lock()
+				got[d.Key()] = js
+				mu.Unlock()
+			}})
 			parallel, err := Generate(id, p, pool)
 			if err != nil {
 				t.Fatalf("%s workers=%d: %v", id, workers, err)
@@ -30,7 +55,79 @@ func TestGenerateMatchesSerial(t *testing.T) {
 				t.Fatalf("%s workers=%d diverges from serial:\n--- parallel ---\n%s--- serial ---\n%s",
 					id, workers, got, want)
 			}
+			// OnResult fires after a future completes; Close waits for it.
+			if err := pool.Close(); err != nil {
+				t.Fatal(err)
+			}
+			st := pool.Stats()
+			lockstep += st.Lockstep
+			diverged += st.Diverged
+			if len(got) != len(want) {
+				t.Fatalf("%s workers=%d: pool delivered %d results, serial path has %d", id, workers, len(got), len(want))
+			}
+			for key, js := range want {
+				if !bytes.Equal(got[key], js) {
+					t.Fatalf("%s workers=%d: result %s differs from its serial run:\n got %s\nwant %s",
+						id, workers, key, got[key], js)
+				}
+			}
 		}
+	}
+	if lockstep == 0 || diverged == 0 {
+		t.Fatalf("the sweeps exercised %d lockstep riders and %d divergences; want both", lockstep, diverged)
+	}
+}
+
+// serialResults runs every simulation generator id requests, one
+// independent sim.Run each, keyed by descriptor.
+func serialResults(t *testing.T, id string, p Profile) map[string][]byte {
+	t.Helper()
+	g, err := Lookup(id)
+	if err != nil {
+		t.Fatal(err)
+	}
+	collect := &harnessCtx{mode: modeCollect, seen: make(map[string]bool)}
+	p.hctx = collect
+	if _, err := g(p); err != nil {
+		t.Fatal(err)
+	}
+	out := make(map[string][]byte, len(collect.jobs))
+	for _, job := range collect.jobs {
+		res, err := job.Run()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if out[job.Desc.Key()], err = json.Marshal(res); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return out
+}
+
+// TestGenerateCancelledPool: on a pool whose context is already done,
+// Generate runs the collect pass, submits, and returns the context's
+// error instead of hanging or simulating (the set-up-only path the
+// figure benchmark times).
+func TestGenerateCancelledPool(t *testing.T) {
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	pool := harness.NewPool(harness.Options{Workers: 2, Context: ctx})
+	done := make(chan error, 1)
+	go func() {
+		_, err := Generate("fig14", Tiny(), pool)
+		done <- err
+	}()
+	select {
+	case err := <-done:
+		if !errors.Is(err, context.Canceled) {
+			t.Fatalf("Generate on a cancelled pool: err = %v, want context.Canceled", err)
+		}
+	case <-time.After(30 * time.Second):
+		t.Fatal("Generate hung on a cancelled pool")
+	}
+	pool.Wait()
+	if st := pool.Stats(); st.Ran != 0 || st.Lockstep != 0 || st.Cancelled != st.Unique {
+		t.Fatalf("cancelled pool simulated: %+v", st)
 	}
 }
 

@@ -104,8 +104,8 @@ func (s runSpec) descriptor() harness.Descriptor {
 	}
 }
 
-// run executes one spec.
-func run(s runSpec) (sim.Result, error) {
+// config builds the spec's system configuration, traces included.
+func (s runSpec) config() (sim.Config, error) {
 	var traces []cpu.Trace
 	if s.benign4 {
 		traces = sim.BenignTraces(s.workload, 4, s.geo, s.seed)
@@ -116,23 +116,52 @@ func run(s runSpec) (sim.Result, error) {
 			Params: s.attackParams, Seed: s.seed,
 		})
 		if err != nil {
-			return sim.Result{}, err
+			return sim.Config{}, err
 		}
 		traces = append(traces, atk)
 	}
-	cfg := sim.Config{
+	return sim.Config{
 		Geometry:        s.geo,
 		LLCBytes:        s.llcBytes,
 		Traces:          traces,
 		Warmup:          s.warmup,
 		Measure:         s.measure,
+		Tracker:         s.tracker.Factory,
 		Mode:            s.tracker.Mode,
 		Engine:          s.engine,
 		TelemetryWindow: s.telemetryWindow,
 		Attribution:     s.attribution,
+	}, nil
+}
+
+// job wraps the spec as a harness job under descriptor d (the spec's
+// own). Unaudited specs carry their stream, so the pool can run every
+// tracker point of one memory-request stream behind one simulation:
+// the key is the descriptor minus the tracker identity, and minus NRH
+// when no attack trace is generated from it.
+func (s runSpec) job(d harness.Descriptor) harness.Job {
+	j := harness.Job{Desc: d, Run: func() (sim.Result, error) { return run(s) }}
+	if s.audit {
+		return j
 	}
-	if s.tracker.Factory != nil {
-		cfg.Tracker = s.tracker.Factory
+	key := d
+	key.Tracker, key.Mode = "", ""
+	if s.attack == attack.None {
+		key.NRH = 0
+	}
+	j.Stream = &harness.Stream{
+		Key:    key,
+		Config: s.config,
+		Point:  sim.BatchPoint{Tracker: s.tracker.Factory, Mode: s.tracker.Mode},
+	}
+	return j
+}
+
+// run executes one spec.
+func run(s runSpec) (sim.Result, error) {
+	cfg, err := s.config()
+	if err != nil {
+		return sim.Result{}, err
 	}
 	if !s.audit {
 		return sim.Run(cfg)

@@ -9,7 +9,8 @@
 //	        produces the sim.Result.
 //	Pool  — a bounded worker pool (runtime.NumCPU() workers by
 //	        default). Submissions are deduplicated by descriptor key,
-//	        so shared baselines across figures execute once.
+//	        so shared baselines across figures execute once, and jobs
+//	        sharing a trace stream (Job.Stream) ride one simulation.
 //	Cache — a content-addressed result store keyed by the descriptor
 //	        hash: always an in-memory map, optionally backed by a
 //	        directory of JSON files so whole experiment suites can be

@@ -1,9 +1,11 @@
 package harness
 
 import (
+	"cmp"
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
 	"time"
 
@@ -19,17 +21,41 @@ import (
 type Job struct {
 	Desc Descriptor
 	Run  func() (sim.Result, error)
+	// Stream, when non-nil, lets the pool run the job inside a
+	// shared-stream group (see Pool). Run must then be equivalent to
+	// sim.Run of Stream.Config() with Stream.Point's tracker, mode and
+	// observer, and must be an in-process simulation: grouped jobs do
+	// not go through Run or the retry policy.
+	Stream *Stream
+}
+
+// Stream identifies the memory-request stream a job drives and how to
+// rebuild it. Jobs with equal Keys drive the same traces through the
+// same system and differ only in tracker configuration, so the pool
+// may advance them behind one system simulation (sim.RunBatch).
+type Stream struct {
+	// Key is comparable, so grouping costs a map lookup, not a hash of
+	// an encoding: exp uses the job's Descriptor with the tracker
+	// identity cleared (and NRH too when the traces do not depend on
+	// it).
+	Key Descriptor
+	// Config builds the job's system configuration, traces included.
+	// The pool calls it once per group, on the group's first member.
+	Config func() (sim.Config, error)
+	// Point is the job's tracker configuration within the group.
+	Point sim.BatchPoint
 }
 
 // Future is the pending result of a submitted job. Wait may be called
 // from any number of goroutines.
 type Future struct {
-	desc   Descriptor
-	key    string
-	done   chan struct{}
-	res    sim.Result
-	err    error
-	cached bool
+	desc    Descriptor
+	key     string
+	done    chan struct{}
+	res     sim.Result
+	err     error
+	cached  bool
+	outcome sim.BatchOutcome
 }
 
 // Wait blocks until the job completes and returns its result.
@@ -59,6 +85,15 @@ func (f *Future) Cached() bool {
 
 // Desc returns the job's descriptor.
 func (f *Future) Desc() Descriptor { return f.desc }
+
+// Outcome reports (after Wait) how a shared-stream job's result was
+// produced: as a group's lead, riding a lead in lockstep, or as an
+// independent run and why (sim.FallbackReason). Jobs without a Stream
+// and cache hits report the zero outcome.
+func (f *Future) Outcome() sim.BatchOutcome {
+	<-f.done
+	return f.outcome
+}
 
 // transientError marks an error as retryable by the pool's retry
 // policy. Simulation errors are deterministic (same inputs, same
@@ -95,7 +130,14 @@ type RetryPolicy struct {
 type Stats struct {
 	Submitted int // Submit calls, including duplicates
 	Unique    int // distinct descriptor keys accepted
-	Ran       int // simulations actually executed
+	Ran       int // full system simulations executed
+	// Lockstep counts jobs whose result came from riding another job's
+	// simulation of the same stream (no simulation of their own).
+	Lockstep int
+	// Diverged counts jobs that left a shared-stream group mid-run and
+	// were requeued as independent runs (each also counts in Ran once
+	// it has run).
+	Diverged  int
 	CacheHits int // results served from the cache
 	// CacheMisses counts cache lookups that found nothing (zero when no
 	// cache is attached); CacheHits+CacheMisses is the lookup total.
@@ -134,6 +176,11 @@ type queued struct {
 	f         *Future
 	job       Job
 	submitted time.Time
+	// taken marks an entry claimed by an earlier member's group; the
+	// dispatcher skips it. solo marks a job spilled from a group: it
+	// runs alone, never regrouped.
+	taken bool
+	solo  bool
 }
 
 // Pool fans jobs out over a bounded set of workers, deduplicating by
@@ -145,6 +192,15 @@ type queued struct {
 // Dispatch is bounded: submissions park in an in-memory queue and at
 // most Workers goroutines exist at any moment, so a 1e5-point sweep
 // costs a slice of queued entries, not 1e5 parked goroutines.
+//
+// Jobs carrying a Stream are grouped: a worker that dequeues one also
+// claims every still-queued job with the same Stream.Key and runs the
+// group through sim.RunBatch, one system simulation with the other
+// members' trackers riding it. A member that cannot ride, or stops
+// agreeing with the lead mid-run, goes straight back to the queue
+// (ahead of unstarted work) as an independent job. Futures, sink order,
+// dedup and caching are per job exactly as without grouping, and every
+// result is byte-identical to the job's own Run.
 type Pool struct {
 	cache      *Cache
 	sinks      []Sink
@@ -160,9 +216,11 @@ type Pool struct {
 	// OnProgress observes strictly increasing done counts.
 	cbMu    sync.Mutex
 	mu      sync.Mutex
-	queue   []queued
-	active  int   // worker goroutines currently alive
-	freeIDs []int // trace lane ids not held by a live worker
+	queue   []*queued
+	spilled []*queued                // jobs requeued from a group; dispatched first
+	streams map[Descriptor][]*queued // queued, unclaimed grouped jobs per stream
+	active  int                      // worker goroutines currently alive
+	freeIDs []int                    // trace lane ids not held by a live worker
 	futures map[string]*Future
 	order   []*Future
 	elapsed map[string]time.Duration
@@ -183,6 +241,7 @@ func NewPool(opts Options) *Pool {
 		workers:    n,
 		ctx:        opts.Context,
 		retry:      opts.Retry,
+		streams:    make(map[Descriptor][]*queued),
 		futures:    make(map[string]*Future),
 		elapsed:    make(map[string]time.Duration),
 	}
@@ -205,11 +264,30 @@ func NewPool(opts Options) *Pool {
 // anything. Submit never blocks: the job parks in the dispatch queue
 // until one of the pool's bounded workers frees up.
 func (p *Pool) Submit(job Job) *Future {
-	key := job.Desc.Key()
+	return p.SubmitAll([]Job{job})[0]
+}
+
+// SubmitAll submits jobs in order, like one Submit each, but enqueues
+// them all before any worker starts, so every member of a stream is
+// queued by the time a worker groups it.
+func (p *Pool) SubmitAll(jobs []Job) []*Future {
+	futures := make([]*Future, len(jobs))
 	p.mu.Lock()
+	for i, job := range jobs {
+		futures[i] = p.enqueueLocked(job)
+	}
+	lanes := p.spawnLocked()
+	p.mu.Unlock()
+	for _, lane := range lanes {
+		go p.worker(lane)
+	}
+	return futures
+}
+
+func (p *Pool) enqueueLocked(job Job) *Future {
+	key := job.Desc.Key()
 	p.stats.Submitted++
 	if f, ok := p.futures[key]; ok {
-		p.mu.Unlock()
 		return f
 	}
 	f := &Future{desc: job.Desc, key: key, done: make(chan struct{})}
@@ -218,19 +296,24 @@ func (p *Pool) Submit(job Job) *Future {
 	p.stats.Unique++
 	p.wg.Add(1)
 	//dapper:wallclock submission timestamp feeds the queue-wait trace span only, never a Result
-	p.queue = append(p.queue, queued{f: f, job: job, submitted: time.Now()})
-	spawn := p.active < p.workers && len(p.freeIDs) > 0
-	var lane int
-	if spawn {
-		p.active++
-		lane = p.freeIDs[len(p.freeIDs)-1]
-		p.freeIDs = p.freeIDs[:len(p.freeIDs)-1]
-	}
-	p.mu.Unlock()
-	if spawn {
-		go p.worker(lane)
+	it := &queued{f: f, job: job, submitted: time.Now()}
+	p.queue = append(p.queue, it)
+	if job.Stream != nil {
+		p.streams[job.Stream.Key] = append(p.streams[job.Stream.Key], it)
 	}
 	return f
+}
+
+// spawnLocked claims lanes for as many new workers as there is queued
+// work and free capacity; the caller starts them after unlocking.
+func (p *Pool) spawnLocked() []int {
+	var lanes []int
+	for pending := len(p.queue) + len(p.spilled); pending > 0 && p.active < p.workers && len(p.freeIDs) > 0; pending-- {
+		p.active++
+		lanes = append(lanes, p.freeIDs[len(p.freeIDs)-1])
+		p.freeIDs = p.freeIDs[:len(p.freeIDs)-1]
+	}
+	return lanes
 }
 
 // worker drains the dispatch queue and exits when it is empty; the
@@ -239,57 +322,135 @@ func (p *Pool) Submit(job Job) *Future {
 func (p *Pool) worker(lane int) {
 	for {
 		p.mu.Lock()
-		if len(p.queue) == 0 {
+		group := p.dequeueLocked()
+		if group == nil {
 			p.active--
 			p.freeIDs = append(p.freeIDs, lane)
 			p.mu.Unlock()
 			return
 		}
-		item := p.queue[0]
-		p.queue = p.queue[1:]
 		p.mu.Unlock()
-		p.execute(lane, item)
+		if len(group) == 1 && (group[0].job.Stream == nil || group[0].solo) {
+			p.execute(lane, group[0])
+		} else {
+			p.executeGroup(lane, group)
+		}
 	}
+}
+
+// dequeueLocked pops the next dispatch: a spilled job, or the queue
+// head together with every queued job of its stream.
+func (p *Pool) dequeueLocked() []*queued {
+	if len(p.spilled) > 0 {
+		it := p.spilled[0]
+		p.spilled = p.spilled[1:]
+		return []*queued{it}
+	}
+	for len(p.queue) > 0 {
+		it := p.queue[0]
+		p.queue[0] = nil
+		p.queue = p.queue[1:]
+		if it.taken {
+			continue
+		}
+		if it.job.Stream == nil {
+			return []*queued{it}
+		}
+		group := p.streams[it.job.Stream.Key]
+		delete(p.streams, it.job.Stream.Key)
+		for _, g := range group {
+			g.taken = true
+		}
+		return group
+	}
+	return nil
+}
+
+// requeue hands a job spilled from a group back to the dispatcher as a
+// solo job, ahead of unstarted work, waking a worker if one is free.
+func (p *Pool) requeue(it *queued, o sim.BatchOutcome) {
+	it.f.outcome = o
+	it.solo = true
+	p.mu.Lock()
+	if o.Reason == sim.FallbackDiverged {
+		p.stats.Diverged++
+	}
+	p.spilled = append(p.spilled, it)
+	lanes := p.spawnLocked()
+	p.mu.Unlock()
+	for _, lane := range lanes {
+		go p.worker(lane)
+	}
+}
+
+// skipCancelled completes f with the pool context's error if it is done.
+func (p *Pool) skipCancelled(f *Future) bool {
+	if p.ctx == nil || p.ctx.Err() == nil {
+		return false
+	}
+	p.mu.Lock()
+	p.stats.Cancelled++
+	p.mu.Unlock()
+	p.finish(f, p.ctx.Err(), 0)
+	return true
+}
+
+// serveCached serves f from the cache if it holds the result.
+//
+//dapper:wallclock times the cache lookup for its trace span only
+func (p *Pool) serveCached(f *Future) bool {
+	if p.cache == nil {
+		return false
+	}
+	lookupStart := time.Now()
+	res, ok := p.cache.Get(f.key)
+	if ok {
+		f.res, f.cached = res, true
+		if p.tracer != nil {
+			p.tracer.Span(p.workers+laneCacheOffset, "hit "+f.desc.String(), "cache",
+				lookupStart, time.Now(), map[string]string{"key": f.key})
+		}
+		p.finish(f, nil, 0)
+		return true
+	}
+	p.mu.Lock()
+	p.stats.CacheMisses++
+	p.mu.Unlock()
+	return false
+}
+
+// store memoizes a fresh result. A failed memoization write must not
+// discard a completed simulation; count it and carry on.
+func (p *Pool) store(f *Future) {
+	if p.cache == nil {
+		return
+	}
+	if err := p.cache.Put(f.key, f.res); err != nil {
+		p.mu.Lock()
+		p.stats.CacheWriteErrors++
+		p.mu.Unlock()
+	}
+}
+
+func (p *Pool) inflight(d int) {
+	p.mu.Lock()
+	p.stats.Inflight += d
+	p.mu.Unlock()
 }
 
 // execute runs one job to completion on a worker lane.
 //
-//dapper:wallclock measures cache-lookup and simulation elapsed time for Stats and trace spans; results stay a pure function of the Descriptor
-func (p *Pool) execute(lane int, item queued) {
+//dapper:wallclock measures simulation elapsed time for Stats and trace spans; results stay a pure function of the Descriptor
+func (p *Pool) execute(lane int, item *queued) {
 	f, job := item.f, item.job
-	defer p.wg.Done()
-	if p.ctx != nil && p.ctx.Err() != nil {
-		p.mu.Lock()
-		p.stats.Cancelled++
-		p.mu.Unlock()
-		p.finish(f, p.ctx.Err(), 0)
+	if p.skipCancelled(f) || p.serveCached(f) {
 		return
 	}
-	if p.cache != nil {
-		lookupStart := time.Now()
-		res, ok := p.cache.Get(f.key)
-		if ok {
-			f.res, f.cached = res, true
-			if p.tracer != nil {
-				p.tracer.Span(p.workers+laneCacheOffset, "hit "+f.desc.String(), "cache",
-					lookupStart, time.Now(), map[string]string{"key": f.key})
-			}
-			p.finish(f, nil, 0)
-			return
-		}
-		p.mu.Lock()
-		p.stats.CacheMisses++
-		p.mu.Unlock()
-	}
-	p.mu.Lock()
-	p.stats.Inflight++
-	p.mu.Unlock()
+	p.inflight(1)
 	start := time.Now()
 	res, err := p.runWithRetry(job)
 	end := time.Now()
-	p.mu.Lock()
-	p.stats.Inflight--
-	p.mu.Unlock()
+	p.inflight(-1)
 	if p.tracer != nil {
 		// The queue-wait span sits on the same lane as its run span, so a
 		// worker row reads wait → run → wait → run left to right.
@@ -302,20 +463,91 @@ func (p *Pool) execute(lane int, item queued) {
 		p.tracer.Span(lane, f.desc.String(), "run", start, end,
 			map[string]string{"key": f.key, "outcome": outcome})
 	}
-	elapsed := end.Sub(start)
 	if err == nil {
 		f.res = res
-		if p.cache != nil {
-			// A failed memoization write must not discard a completed
-			// simulation; count it and carry on.
-			if perr := p.cache.Put(f.key, res); perr != nil {
-				p.mu.Lock()
-				p.stats.CacheWriteErrors++
-				p.mu.Unlock()
-			}
+		p.store(f)
+	}
+	p.finish(f, err, end.Sub(start))
+}
+
+// executeGroup runs one stream's claimed jobs: cache hits finish
+// first, the rest share one system simulation. The lead preference is
+// the insecure baseline, then the highest NRH (the point least likely
+// to mitigate, so the one most others can ride); sim.RunBatch skips
+// throttlers when it picks the lead.
+//
+//dapper:wallclock measures the group's elapsed time for Stats and trace spans; results stay a pure function of each Descriptor
+func (p *Pool) executeGroup(lane int, group []*queued) {
+	var rest []*queued
+	for _, it := range group {
+		if !p.skipCancelled(it.f) && !p.serveCached(it.f) {
+			rest = append(rest, it)
 		}
 	}
-	p.finish(f, err, elapsed)
+	if len(rest) == 0 {
+		return
+	}
+	slices.SortStableFunc(rest, func(a, b *queued) int {
+		an, bn := a.f.desc.Tracker == "none", b.f.desc.Tracker == "none"
+		if an != bn {
+			if an {
+				return -1
+			}
+			return 1
+		}
+		return cmp.Compare(b.f.desc.NRH, a.f.desc.NRH)
+	})
+
+	p.inflight(1)
+	start := time.Now()
+	spilled := make([]bool, len(rest))
+	cfg, err := rest[0].job.Stream.Config()
+	var results []sim.Result
+	var outcomes []sim.BatchOutcome
+	if err == nil {
+		points := make([]sim.BatchPoint, len(rest))
+		for i, it := range rest {
+			points[i] = it.job.Stream.Point
+		}
+		results, outcomes, err = sim.RunBatch(cfg, points, func(i int, o sim.BatchOutcome) {
+			spilled[i] = true
+			p.requeue(rest[i], o)
+		})
+	}
+	end := time.Now()
+	p.inflight(-1)
+
+	var members []*queued
+	for i, it := range rest {
+		if spilled[i] {
+			continue
+		}
+		if err != nil {
+			// The shared run failed: let every remaining member reach its
+			// own verdict as an independent run.
+			p.requeue(it, sim.BatchOutcome{})
+			continue
+		}
+		it.f.res, it.f.outcome = results[i], outcomes[i]
+		members = append(members, it)
+	}
+	if len(members) == 0 {
+		return
+	}
+	if p.tracer != nil {
+		for _, it := range members {
+			p.tracer.Span(lane, "wait "+it.f.desc.String(), "queue", it.submitted, start,
+				map[string]string{"key": it.f.key})
+		}
+		p.tracer.Span(lane, fmt.Sprintf("%s +%d lockstep", members[0].f.desc.String(), len(members)-1), "run",
+			start, end, map[string]string{"key": members[0].f.key, "outcome": "ok"})
+	}
+	// The members share one simulation; charge each an even share.
+	per := end.Sub(start) / time.Duration(len(members))
+	for _, it := range members {
+		p.store(it.f)
+		p.finish(it.f, nil, per)
+	}
 }
 
 // runWithRetry executes the job, re-running it with exponential
@@ -375,6 +607,8 @@ func (p *Pool) finish(f *Future, err error, elapsed time.Duration) {
 		p.stats.Errors++
 	case f.cached:
 		p.stats.CacheHits++
+	case f.outcome.Lockstep:
+		p.stats.Lockstep++
 	default:
 		p.stats.Ran++
 	}
@@ -397,6 +631,7 @@ func (p *Pool) finish(f *Future, err error, elapsed time.Duration) {
 		p.onResult(f.desc, f.res)
 	}
 	p.cbMu.Unlock()
+	p.wg.Done()
 }
 
 // Wait blocks until every submitted job has finished.

@@ -37,6 +37,8 @@ func WriteTelemetry(dir string, tracer *telemetry.Tracer, stats Stats) error {
 		"submitted":          stats.Submitted,
 		"unique":             stats.Unique,
 		"ran":                stats.Ran,
+		"lockstep":           stats.Lockstep,
+		"diverged":           stats.Diverged,
 		"cache_hits":         stats.CacheHits,
 		"cache_misses":       stats.CacheMisses,
 		"errors":             stats.Errors,

@@ -26,8 +26,10 @@ type namedBatchPoint struct {
 
 // batchPoints builds the sweep: an insecure lead, a guaranteed-lockstep
 // twin, three table trackers (lockstep under benign load, diverging
-// under attack), and one point per fallback reason (LLC reservation,
-// ACT tax, throttler, mode mismatch).
+// under attack), one point per up-front fallback reason (LLC
+// reservation, ACT tax, throttler), and an insecure VRR2 point (its
+// mode differs from the lead's, but neither ever emits a victim
+// refresh, so it rides).
 func batchPoints(g dram.Geometry) []namedBatchPoint {
 	return []namedBatchPoint{
 		{"nop-lead", BatchPoint{}},
@@ -63,6 +65,27 @@ func batchPoints(g dram.Geometry) []namedBatchPoint {
 		}}},
 		{"nop-vrr2", BatchPoint{Mode: rh.VRR2}},
 	}
+}
+
+// runBatchAll is RunBatch plus what the harness pool does with the
+// spilled points: each runs independently on a fresh config from base.
+// Outcomes keep RunBatch's verdict for every point.
+func runBatchAll(base func() Config, points []BatchPoint) ([]Result, []BatchOutcome, error) {
+	var spilled []int
+	results, outcomes, err := RunBatch(base(), points, func(i int, _ BatchOutcome) {
+		spilled = append(spilled, i)
+	})
+	if err != nil {
+		return nil, nil, err
+	}
+	for _, i := range spilled {
+		cfg := base()
+		cfg.Tracker, cfg.Mode, cfg.Observer = points[i].Tracker, points[i].Mode, points[i].Observer
+		if results[i], err = Run(cfg); err != nil {
+			return nil, nil, err
+		}
+	}
+	return results, outcomes, nil
 }
 
 func batchBaseConfig(t *testing.T, g dram.Geometry, hammer bool) Config {
@@ -104,7 +127,7 @@ func TestEngineEquivalenceBatched(t *testing.T) {
 			for i := range pts {
 				points[i] = pts[i].point
 			}
-			results, outcomes, err := RunBatch(batchBaseConfig(t, g, hammer), points)
+			results, outcomes, err := runBatchAll(func() Config { return batchBaseConfig(t, g, hammer) }, points)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -140,7 +163,6 @@ func TestEngineEquivalenceBatched(t *testing.T) {
 				"start-llc":            FallbackLLCReserve,
 				"prac-tax":             FallbackActTax,
 				"blockhammer-throttle": FallbackThrottler,
-				"nop-vrr2":             FallbackMode,
 			}
 			for i := range pts {
 				if want, ok := wantReasons[pts[i].name]; ok {
@@ -153,8 +175,8 @@ func TestEngineEquivalenceBatched(t *testing.T) {
 			// lockstep. And any point whose tracker acted differently from
 			// the insecure lead must have been detected and rerun.
 			for i := range pts {
-				if pts[i].name == "nop-twin" && !outcomes[i].Lockstep {
-					t.Errorf("nop-twin fell back: %+v", outcomes[i])
+				if (pts[i].name == "nop-twin" || pts[i].name == "nop-vrr2") && !outcomes[i].Lockstep {
+					t.Errorf("%s fell back: %+v", pts[i].name, outcomes[i])
 				}
 				if outcomes[i].Lockstep &&
 					(results[i].Tracker.Mitigations != 0 || results[i].Tracker.InjectedReads != 0) {
@@ -207,7 +229,7 @@ func TestEngineEquivalenceBatchedAudit(t *testing.T) {
 				{Tracker: nil, Observer: batchAudits[0].Observer},
 				{Tracker: newTracker, Observer: batchAudits[1].Observer},
 			}
-			_, outcomes, err := RunBatch(batchBaseConfig(t, g, hammer), points)
+			_, outcomes, err := runBatchAll(func() Config { return batchBaseConfig(t, g, hammer) }, points)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -252,7 +274,7 @@ func TestEngineEquivalenceBatchedAllThrottlers(t *testing.T) {
 		}
 	}
 	points := []BatchPoint{{Tracker: mk(500)}, {Tracker: mk(1000)}}
-	results, outcomes, err := RunBatch(batchBaseConfig(t, g, true), points)
+	results, outcomes, err := runBatchAll(func() Config { return batchBaseConfig(t, g, true) }, points)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -269,4 +291,104 @@ func TestEngineEquivalenceBatchedAllThrottlers(t *testing.T) {
 			t.Errorf("point %d: batched result diverges from independent run", i)
 		}
 	}
+}
+
+// everyNTracker is a scripted tracker: it requests a VRR for every
+// n-th activation's row and otherwise does nothing.
+type everyNTracker struct {
+	n     uint64
+	stats rh.Stats
+}
+
+func (t *everyNTracker) Name() string { return "every-n" }
+
+func (t *everyNTracker) OnActivate(_ dram.Cycle, loc dram.Loc, buf []rh.Action) []rh.Action {
+	t.stats.Activations++
+	if t.stats.Activations%t.n != 0 {
+		return buf
+	}
+	t.stats.Mitigations++
+	t.stats.VictimRefreshes++
+	return append(buf, rh.Action{Kind: rh.RefreshVictims, Loc: loc, Row: loc.Row})
+}
+
+func (t *everyNTracker) Tick(_ dram.Cycle, buf []rh.Action) []rh.Action { return buf }
+func (t *everyNTracker) Stats() rh.Stats                                { return t.stats }
+
+// checkBatchMatchesRun asserts that each batched result equals an
+// independent Run of its point.
+func checkBatchMatchesRun(t *testing.T, base func() Config, points []BatchPoint, results []Result, outcomes []BatchOutcome) {
+	t.Helper()
+	for i, p := range points {
+		cfg := base()
+		cfg.Tracker, cfg.Mode = p.Tracker, p.Mode
+		wantJS, err := json.Marshal(MustRun(cfg))
+		if err != nil {
+			t.Fatal(err)
+		}
+		gotJS, err := json.Marshal(results[i])
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(wantJS, gotJS) {
+			t.Fatalf("point %d (outcome %+v) diverges from its independent run:\n want %s\n got  %s",
+				i, outcomes[i], wantJS, gotJS)
+		}
+	}
+}
+
+// TestBatchModeRidesWithoutVictimRefresh: the controller reads the
+// mitigation mode only for RefreshVictims durations, so a benign
+// DAPPER-H DRFMsb point at NRH 2000 (which stays quiet) rides a VRR1
+// lead in lockstep.
+func TestBatchModeRidesWithoutVictimRefresh(t *testing.T) {
+	g := dram.Baseline()
+	base := func() Config { return batchBaseConfig(t, g, false) }
+	points := []BatchPoint{
+		{Mode: rh.VRR1},
+		{Mode: rh.DRFMsb, Tracker: func(ch int) rh.Tracker {
+			d, err := core.NewDapperH(ch, core.Config{Geometry: g, NRH: 2000, Mode: rh.DRFMsb})
+			if err != nil {
+				panic(err)
+			}
+			return d
+		}},
+	}
+	results, outcomes, err := runBatchAll(base, points)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if outcomes[0].Reason != FallbackLead || !outcomes[1].Lockstep {
+		t.Fatalf("outcomes %+v: want the DRFMsb point riding the VRR1 lead", outcomes)
+	}
+	checkBatchMatchesRun(t, base, points, results, outcomes)
+}
+
+// TestBatchVRR2DivergesOnVictimRefresh: when the lead issues victim
+// refreshes, a VRR2 rider emitting the very same actions must still
+// fall back (its refreshes block the bank for tVRR2, not tVRR1), while
+// an RFMsb rider with the same actions (tVRR1 as well) rides.
+func TestBatchVRR2DivergesOnVictimRefresh(t *testing.T) {
+	g := dram.Baseline()
+	base := func() Config { return batchBaseConfig(t, g, false) }
+	everyN := func(int) rh.Tracker { return &everyNTracker{n: 50} }
+	points := []BatchPoint{
+		{Tracker: everyN, Mode: rh.VRR1},
+		{Tracker: everyN, Mode: rh.VRR2},
+		{Tracker: everyN, Mode: rh.RFMsb},
+	}
+	results, outcomes, err := runBatchAll(base, points)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if results[0].Counters.VRR == 0 {
+		t.Fatal("the lead issued no victim refresh; the test proves nothing")
+	}
+	if outcomes[1].Lockstep || outcomes[1].Reason != FallbackDiverged {
+		t.Errorf("VRR2 rider: outcome %+v, want divergence fallback", outcomes[1])
+	}
+	if !outcomes[2].Lockstep {
+		t.Errorf("RFMsb rider: outcome %+v, want lockstep", outcomes[2])
+	}
+	checkBatchMatchesRun(t, base, points, results, outcomes)
 }

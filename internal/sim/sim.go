@@ -173,12 +173,13 @@ func Run(cfg Config) (Result, error) {
 	return run(cfg, nil, nil)
 }
 
-// run is Run with two batched-runner hooks: wrapT, applied to each
-// per-channel tracker right after construction (before the optional
-// TimingTaxer/LLCReserver extensions are probed, so a wrapper's
-// forwarded values are the ones the system sees), and extraObs, an
-// additional per-channel observer teed into the security-event stream.
-// Both nil reproduces Run exactly.
+// run is Run with two shared-stream hooks: wrapT, applied to each
+// per-channel tracker after the optional TimingTaxer/LLCReserver
+// extensions are read off the unwrapped channel-0 tracker (the
+// controller still type-asserts the wrapper for Throttler and
+// TableReporter), and extraObs, an additional per-channel observer
+// teed into the security-event stream. Both nil reproduces Run
+// exactly.
 func run(cfg Config, wrapT func(channel int, t rh.Tracker) rh.Tracker, extraObs func(channel int) rh.Observer) (Result, error) {
 	cfg = cfg.withDefaults()
 	if err := cfg.Geometry.Validate(); err != nil {
@@ -228,9 +229,6 @@ func run(cfg Config, wrapT func(channel int, t rh.Tracker) rh.Tracker, extraObs 
 	trackers := make([]rh.Tracker, cfg.Geometry.Channels)
 	for ch := range trackers {
 		trackers[ch] = cfg.Tracker(ch)
-		if wrapT != nil {
-			trackers[ch] = wrapT(ch, trackers[ch])
-		}
 	}
 
 	// Optional tracker extensions: PRAC's ACT tax and START's LLC
@@ -242,6 +240,11 @@ func run(cfg Config, wrapT func(channel int, t rh.Tracker) rh.Tracker, extraObs 
 	llcBytes := cfg.LLCBytes
 	if res, ok := trackers[0].(rh.LLCReserver); ok {
 		llcBytes = int(float64(llcBytes) * (1 - res.LLCReservedFraction()))
+	}
+	if wrapT != nil {
+		for ch := range trackers {
+			trackers[ch] = wrapT(ch, trackers[ch])
+		}
 	}
 
 	controllers := make([]*mem.Controller, cfg.Geometry.Channels)
